@@ -41,6 +41,7 @@ from .oracle import abelian_p_groups, pushout_oracle, surjection_oracle
 from .qam import check_axioms, to_qam
 from .surjections import cyclic_surjection_exists, square_exists
 from .tropical import (
+    FLAG_SCAN_MAX_LABELS,
     dressian_check,
     flag_pluecker_scan,
     heights,
@@ -226,10 +227,14 @@ def main(argv=None) -> int:
 
         if cmd == "minor":
             m = _load_matroid(args.input)
-            for a in args.delete:
-                m = delete(m, a)
-            for a in args.contract:
-                m = contract(m, a)
+            try:
+                for a in args.delete:
+                    m = delete(m, a)
+                for a in args.contract:
+                    m = contract(m, a)
+            except KeyError as exc:  # a label not (or no longer) in the ground set
+                print(f"error: {exc.args[0]}", file=sys.stderr)
+                return 2
             print(dumps(emit_matroid_document(m)))
             return 0
 
@@ -293,8 +298,8 @@ def main(argv=None) -> int:
 
         if cmd == "flagscan":
             m = _verified(args.input)
-            if len(m.labels) > 8:
-                print("flag scan is capped at 8 labels", file=sys.stderr)
+            if len(m.labels) > FLAG_SCAN_MAX_LABELS:
+                print(f"flag scan is capped at {FLAG_SCAN_MAX_LABELS} labels", file=sys.stderr)
                 return 2
             h = heights(localize_matroid(m, args.p), args.n)
             count = 0

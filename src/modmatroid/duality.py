@@ -21,7 +21,6 @@ from .intmat import (
     shape,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
 )
 from .matroids import DvrMatroid, Realization, ZMatroid, popcount, subsets, verify
 
@@ -58,11 +57,11 @@ def _independent_relations(relations: Mat) -> Mat:
     n, m_cols = shape(relations)
     if m_cols == 0:
         return relations
-    s = smith_normal_form(relations)
+    s = smith_normal_form(relations, ("uinv",))
     rank = sum(1 for x in s.d if x)
     if rank == m_cols:
         return relations
-    uinv = unimodular_inverse(s.u)
+    uinv = s.uinv
     return [[s.d[j] * uinv[i][j] for j in range(rank)] for i in range(n)]
 
 

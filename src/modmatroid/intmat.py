@@ -1,9 +1,10 @@
 """Exact integer matrices and Smith normal form.
 
 Matrices are dense row-major lists of Python ints, so every operation is
-arbitrary precision.  The normal form keeps track of unimodular transforms
-on both sides; the rest of the package reads quotient groups off the
-invariant diagonal and the oracle tracks elements through ``u``.
+arbitrary precision.  The normal form records the unimodular transforms
+a caller asks for (either side, and the inverse of the row side); the
+rest of the package reads quotient groups off the invariant diagonal and
+bases of quotients off ``uinv``.
 """
 
 from __future__ import annotations
@@ -77,33 +78,19 @@ def is_unimodular(m: Mat) -> bool:
     return abs(det(m)) == 1
 
 
-def unimodular_inverse(m: Mat) -> Mat:
-    """Exact integer inverse of a matrix with determinant ±1."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    d = det(m)
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i]
-            out[j][i] = d * (-1) ** (i + j) * det(minor)
-    return out
-
-
 @dataclass(frozen=True)
 class SnfResult:
     """Invariant diagonal ``d`` with ``u @ input @ v == diag(d)``.
 
     ``d`` has length min(rows, cols); each entry is nonnegative and divides
-    the next nonzero one.  ``u`` and ``v`` are unimodular.
+    the next nonzero one.  ``u`` and ``v`` are unimodular and ``uinv`` is
+    the inverse of ``u``; a transform that was not tracked is None.
     """
 
     d: tuple[int, ...]
-    u: Mat
-    v: Mat
+    u: Mat | None
+    v: Mat | None
+    uinv: Mat | None
 
     def diagonal(self, rows: int, cols: int) -> Mat:
         out = [[0] * cols for _ in range(rows)]
@@ -112,17 +99,28 @@ class SnfResult:
         return out
 
 
-def smith_normal_form(m: Mat) -> SnfResult:
+TRANSFORMS = ("u", "v", "uinv")
+
+
+def smith_normal_form(m: Mat, track: tuple[str, ...] = ("u", "v")) -> SnfResult:
     """Diagonalize an integer matrix with unimodular row and column moves.
 
     Pivoting picks the entry of minimal nonzero absolute value in the
     remaining submatrix and re-sweeps until the pivot divides everything
     below and to the right, which forces the divisibility chain.
+
+    ``track`` names the transforms to record, among ``TRANSFORMS``; the
+    moves, and so ``d`` and every recorded transform, do not depend on
+    it.  ``uinv`` mirrors each row move on ``u`` as the inverse column
+    move, so no inverse is ever computed.
     """
+    if not set(track) <= set(TRANSFORMS):
+        raise ValueError(f"unknown transforms {sorted(set(track) - set(TRANSFORMS))}")
     rows, cols = shape(m)
     a = copy_mat(m)
-    u = identity(rows)
-    v = identity(cols)
+    u = identity(rows) if "u" in track else None
+    v = identity(cols) if "v" in track else None
+    ui = identity(rows) if "uinv" in track else None
     limit = min(rows, cols)
 
     def find_pivot(t: int):
@@ -144,34 +142,49 @@ def smith_normal_form(m: Mat) -> SnfResult:
             _, pi, pj = best
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
-                u[t], u[pi] = u[pi], u[t]
+                if u is not None:
+                    u[t], u[pi] = u[pi], u[t]
+                if ui is not None:
+                    for row in ui:
+                        row[t], row[pi] = row[pi], row[t]
             if pj != t:
                 for row in a:
                     row[t], row[pj] = row[pj], row[t]
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
+                if v is not None:
+                    for row in v:
+                        row[t], row[pj] = row[pj], row[t]
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
+                if u is not None:
+                    u[t] = [-x for x in u[t]]
+                if ui is not None:
+                    for row in ui:
+                        row[t] = -row[t]
             p = a[t][t]
+            at = a[t]
             dirty = False
             for i in range(t + 1, rows):
                 if a[i][t]:
                     q = a[i][t] // p
                     if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                        a[i] = [x - q * y for x, y in zip(a[i], at)]
+                        if u is not None:
+                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                        if ui is not None:
+                            for row in ui:
+                                row[t] += q * row[i]
                     if a[i][t]:
                         dirty = True
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // p
+                if at[j]:
+                    q = at[j] // p
                     if q:
                         for row in a:
                             row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
+                        if v is not None:
+                            for row in v:
+                                row[j] -= q * row[t]
+                    if at[j]:
                         dirty = True
             if dirty:
                 # a remainder smaller than the pivot appeared; re-pivot
@@ -191,8 +204,12 @@ def smith_normal_form(m: Mat) -> SnfResult:
             # fold the offending row into the pivot row; the next sweep
             # produces a remainder strictly smaller than the pivot
             a[t] = [x + y for x, y in zip(a[t], a[stray])]
-            u[t] = [x + y for x, y in zip(u[t], u[stray])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[stray])]
+            if ui is not None:
+                for row in ui:
+                    row[stray] -= row[t]
             best = (p, t, t)
         t += 1
     d = tuple(a[i][i] for i in range(limit))
-    return SnfResult(d, u, v)
+    return SnfResult(d, u, v, ui)

@@ -19,7 +19,7 @@ import json
 from typing import Any
 
 from .abgroups import FgAbGroup, canonicalize
-from .matroids import Realization, ZMatroid, subset_key, subsets
+from .matroids import MAX_GROUND, Realization, ZMatroid, subset_key, subsets
 
 BIG = 1 << 53
 
@@ -49,8 +49,8 @@ def _check_labels(ground: Any) -> tuple[str, ...]:
             raise DocumentError(f"bad label {a!r}: empty or contains a comma")
     if len(set(ground)) != len(ground):
         raise DocumentError("ground_set labels must be distinct")
-    if len(ground) > 16:
-        raise DocumentError("ground_set larger than 16")
+    if len(ground) > MAX_GROUND:
+        raise DocumentError(f"ground_set larger than {MAX_GROUND}")
     return tuple(ground)
 
 

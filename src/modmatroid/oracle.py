@@ -46,21 +46,24 @@ def _presentation_with(g: FgAbGroup, *cols: tuple[int, ...]) -> list[list[int]]:
     return rows
 
 
+def _torsion_quotient(g: FgAbGroup, *cols: tuple[int, ...]) -> FgAbGroup:
+    q = cokernel(_presentation_with(g, *cols))
+    if q.rank:
+        raise RuntimeError(f"quotient of the finite group {g} has a free part")
+    return q
+
+
 def quotient_by_element(g: FgAbGroup, x: tuple[int, ...]) -> FgAbGroup:
     """Isomorphism type of g/(x)."""
     if len(x) != len(g.factors):
         raise ValueError("element has wrong arity")
-    q = cokernel(_presentation_with(g, x))
-    assert q.rank == 0
-    return q
+    return _torsion_quotient(g, x)
 
 
 def quotient_by_pair(
     g: FgAbGroup, x: tuple[int, ...], y: tuple[int, ...]
 ) -> FgAbGroup:
-    q = cokernel(_presentation_with(g, x, y))
-    assert q.rank == 0
-    return q
+    return _torsion_quotient(g, x, y)
 
 
 @lru_cache(maxsize=4096)

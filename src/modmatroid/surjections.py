@@ -70,7 +70,7 @@ from functools import lru_cache
 from itertools import product
 
 from .abgroups import INF, DMod, FgAbGroup, cokernel, d_i, localize, support_primes
-from .intmat import smith_normal_form, transpose, unimodular_inverse
+from .intmat import smith_normal_form, transpose
 
 # failure kinds, also used verbatim in diagnostics
 RANK_DROP = "rank-drop"
@@ -274,8 +274,8 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
         raise RuntimeError("canonical element does not give the stated quotient")
 
     # basis of N0/(rel, x): columns of U^-1 with orders from the SNF
-    snf = smith_normal_form(transpose(rel + [x]))
-    uinv = unimodular_inverse(snf.u)
+    snf = smith_normal_form(transpose(rel + [x]), ("uinv",))
+    uinv = snf.uinv
     orders = list(snf.d) + [0] * (n - len(snf.d))
     gens: list[tuple[int | float, list[int]]] = []
     for i in range(n):
@@ -351,13 +351,24 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     return False
 
 
+# Bound of the per-prime decision caches below.  Their keys are localized
+# entries, which repeat across tables and primes far more than the
+# groups do.
+_LOCAL_CACHE = 1 << 14
+
+
+@lru_cache(maxsize=_LOCAL_CACHE)
+def _m1_local(src: DMod, dst: DMod) -> SquareVerdict:
+    return m1_failure_dvr(src, dst)
+
+
 @lru_cache(maxsize=1 << 18)
 def check_m1(src: FgAbGroup, dst: FgAbGroup) -> SquareVerdict:
     """Does a surjection src -> dst with cyclic kernel exist over the integers?"""
     if src.rank - dst.rank not in (0, 1):
         return SquareVerdict(False, RANK_DROP)
     for p in support_primes(src, dst):
-        f = m1_failure_dvr(localize(src, p), localize(dst, p))
+        f = _m1_local(localize(src, p), localize(dst, p))
         if not f.ok:
             return SquareVerdict(False, M1_LOCAL, p, f.index)
     return _OK
@@ -365,6 +376,26 @@ def check_m1(src: FgAbGroup, dst: FgAbGroup) -> SquareVerdict:
 
 def cyclic_surjection_exists(src: FgAbGroup, dst: FgAbGroup) -> bool:
     return check_m1(src, dst).ok
+
+
+@lru_cache(maxsize=_LOCAL_CACHE)
+def _square_local(
+    p: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod
+) -> SquareVerdict:
+    """The square test at one prime, over the localized quadruple.
+
+    A witness search that raises is not cached and propagates.
+    """
+    f = square_failure_dvr(n0, n1, n2, n12)
+    if not f.ok:
+        return SquareVerdict(False, f.kind, p, f.index)
+    cap = _EXACT_CAPS.get(p, _EXACT_CAP_DEFAULT)
+    if n0.rank > 0 or max(m.max_exp for m in (n0, n1, n2, n12)) > cap:
+        return _OK
+    short = _shortfalls(n0, n1, n2, n12, _nmax(n0, n1, n2, n12))
+    if short and not _witness_search(n0, n1, n2, n12, p):
+        return SquareVerdict(False, NO_PAIR, p, short[0][0])
+    return _OK
 
 
 @lru_cache(maxsize=1 << 18)
@@ -383,16 +414,9 @@ def check_square(
         if a.rank - b.rank not in (0, 1):
             return SquareVerdict(False, RANK_DROP)
     for p in support_primes(n0, n1, n2, n12):
-        loc = tuple(localize(g, p) for g in (n0, n1, n2, n12))
-        f = square_failure_dvr(*loc)
+        f = _square_local(p, *(localize(g, p) for g in (n0, n1, n2, n12)))
         if not f.ok:
-            return SquareVerdict(False, f.kind, p, f.index)
-        cap = _EXACT_CAPS.get(p, _EXACT_CAP_DEFAULT)
-        if n0.rank > 0 or max(m.max_exp for m in loc) > cap:
-            continue
-        short = _shortfalls(*loc, _nmax(*loc))
-        if short and not _witness_search(*loc, p):
-            return SquareVerdict(False, NO_PAIR, p, short[0][0])
+            return f
     return _OK
 
 

@@ -31,6 +31,9 @@ from typing import Callable
 from .abgroups import INF, d_leq
 from .matroids import DvrMatroid, labels_of, popcount, subsets
 
+# largest ground set the exhaustive flag scan accepts
+FLAG_SCAN_MAX_LABELS = 8
+
 
 @dataclass(frozen=True)
 class HeightFunction:
@@ -186,8 +189,8 @@ def flag_pluecker_scan(
     skipped.  Every checked relation is logged through ``sink``.
     """
     e = len(h.labels)
-    if e > 8:
-        raise ValueError("flag scan is capped at 8 labels")
+    if e > FLAG_SCAN_MAX_LABELS:
+        raise ValueError(f"flag scan is capped at {FLAG_SCAN_MAX_LABELS} labels")
     p = h.values
     lab = h.labels
     def names(mask: int) -> str:

@@ -75,8 +75,10 @@ def tutte_class(m: ZMatroid) -> TutteClass:
         g = m.table[a]
         co = dm.table[full ^ a]
         # the dual entry must repeat the torsion and realize the nullity
-        assert co.factors == g.factors
-        assert co.rank == g.rank + popcount(a) - r0
+        if co.factors != g.factors:
+            raise RuntimeError(f"dual entry {co} does not repeat the torsion of {g}")
+        if co.rank != g.rank + popcount(a) - r0:
+            raise RuntimeError(f"dual entry {co} has the wrong nullity")
         key = (g.rank, co.rank, g.factors)
         terms[key] = terms.get(key, 0) + 1
     return TutteClass(terms)

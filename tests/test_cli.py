@@ -122,6 +122,18 @@ def test_minor(run):
     }
 
 
+@pytest.mark.parametrize("args", [
+    ["--delete", "z"],
+    ["--contract", "z"],
+    ["--delete", "2", "--contract", "2"],  # gone after the deletion
+])
+def test_minor_unknown_label(run, args):
+    code, out, err = run(["minor", *args], GOOD_MATROID)
+    label = args[-1]
+    assert code == 2 and out == ""
+    assert err == f"error: unknown label '{label}'\n"
+
+
 def test_essentialize(run):
     code, out, err = run(["essentialize"], GOOD_MATROID)
     assert code == 0

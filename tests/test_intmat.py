@@ -13,7 +13,6 @@ from modmatroid.intmat import (
     shape,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -38,15 +37,21 @@ def test_snf_reconstruction_simple():
     assert matmul(matmul(s.u, m), s.v) == s.diagonal(2, 2)
 
 
-def test_unimodular_inverse_roundtrip():
-    u = [[2, 1], [1, 1]]
-    assert is_unimodular(u)
-    ui = unimodular_inverse(u)
-    assert matmul(u, ui) == identity(2)
+def test_snf_inverse_roundtrip():
+    r = random.Random(3)
+    for _ in range(200):
+        rows = r.randint(1, 6)
+        cols = r.randint(1, 6)
+        m = [[r.randint(-99, 99) for _ in range(cols)] for _ in range(rows)]
+        s = smith_normal_form(m, ("u", "v", "uinv"))
+        assert matmul(s.u, s.uinv) == identity(rows)
+        assert matmul(s.uinv, s.u) == identity(rows)
+        # tracking more transforms does not change the moves
+        alone = smith_normal_form(m, ("uinv",))
+        assert alone.uinv == s.uinv and alone.u is None and alone.v is None
+        assert smith_normal_form(m).u == s.u
     with pytest.raises(ValueError):
-        unimodular_inverse([[2, 0], [0, 2]])
-    with pytest.raises(ValueError):
-        unimodular_inverse([[1, 2, 3]])
+        smith_normal_form([[1]], ("w",))
 
 
 def test_det_frozen():
@@ -83,7 +88,9 @@ def test_snf_properties(m):
 @settings(max_examples=80, deadline=None)
 @given(matrices)
 def test_snf_matches_sympy(m):
-    got = [x for x in smith_normal_form(m).d if x != 0]
+    d = smith_normal_form(m).d
+    assert smith_normal_form(m, ()).d == d
+    got = [x for x in d if x != 0]
     want = [abs(int(x)) for x in sympy_snf(sympy.Matrix(m)).diagonal()]
     want = [x for x in want if x != 0]
     assert got == want

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modmatroid.abgroups import DMod, FgAbGroup, TRIVIAL
+from modmatroid.abgroups import DMod, FgAbGroup, TRIVIAL, canonicalize, cokernel
 from modmatroid.matroids import (
     DvrMatroid,
     MatroidError,
     Realization,
+    Verdict,
+    Violation,
     ZMatroid,
     contract,
     delete,
@@ -29,7 +31,13 @@ from modmatroid.matroids import (
     tensor_mod,
     verify,
 )
-from modmatroid.surjections import L2A
+from modmatroid.surjections import (
+    L2A,
+    check_m1,
+    check_square,
+    m1_failure_dvr,
+    square_failure_dvr,
+)
 
 from conftest import random_realization
 
@@ -232,3 +240,109 @@ def test_column_permutation_is_relabeling():
     )
     renamed = relabel(swapped, {"1": "2", "2": "1"})
     assert renamed.table == m.table
+
+
+def per_subset_cokernels(r: Realization) -> tuple:
+    """Reference table: one normal form of [relations | chosen columns] per subset."""
+    e = len(r.labels)
+    return tuple(
+        cokernel([rel + [vec[j] for j in range(e) if mask >> j & 1]
+                  for rel, vec in zip(r.relations, r.vectors)])
+        for mask in range(1 << e)
+    )
+
+
+def kernel_case(rng: random.Random, kind: str) -> Realization:
+    if kind == "twelve-labels":
+        return random_realization(rng, max_dim=4, n_labels=12)
+    real = random_realization(rng, max_dim=1 if kind == "dim-1" else 5)
+    n = len(real.relations)
+    e = len(real.labels)
+    relations, vectors = real.relations, [row[:] for row in real.vectors]
+    if kind == "no-relations":
+        relations = [[] for _ in range(n)]
+    elif kind == "prime-power":
+        p = rng.choice((2, 3, 5))
+        relations = [[p ** rng.randint(1, 6) if i == j else 0 for j in range(n)]
+                     for i in range(n)]
+    elif kind == "zero-and-repeated":
+        for row in vectors:
+            row[rng.randrange(e)] = 0
+            row[rng.randrange(e)] = row[rng.randrange(e)]
+    return Realization(real.labels, relations, vectors)
+
+
+@pytest.mark.parametrize("kind,count", [
+    ("generic", 60), ("no-relations", 40), ("dim-1", 40), ("prime-power", 40),
+    ("zero-and-repeated", 40), ("twelve-labels", 1),
+])
+def test_from_realization_matches_per_subset_cokernels(kind, count):
+    rng = random.Random(f"kernel/{kind}")
+    for _ in range(count):
+        real = kernel_case(rng, kind)
+        assert from_realization(real).table == per_subset_cokernels(real), real
+
+
+def naive_scan(labels, table, m1_check, square_check) -> Verdict:
+    """Reference scan: every (A, b, c) in the documented order, no memo."""
+    e = len(labels)
+    for mask in range(1 << e):
+        outside = [i for i in range(e) if not mask >> i & 1]
+        for x, b in enumerate(outside):
+            pairs = [(b, b)] + [(b, c) for c in outside[x + 1:]]
+            for b, c in pairs:
+                if b == c:
+                    v = m1_check(table[mask], table[mask | 1 << b])
+                else:
+                    v = square_check(table[mask], table[mask | 1 << b],
+                                     table[mask | 1 << c], table[mask | 1 << b | 1 << c])
+                if not v.ok:
+                    return Verdict(False, Violation(mask, labels[b], labels[c], v.kind,
+                                                    v.prime, v.index))
+    return Verdict(True)
+
+
+def changed(g, kind: str, q: int):
+    """One entry made wrong: more rank, an extra summand, or a deeper one."""
+    if isinstance(g, DMod):
+        exps = g.exps
+        if kind == "torsion":
+            exps = tuple(sorted(exps + (1,), reverse=True))
+        elif kind == "deepen":
+            exps = (exps[0] + 1,) + exps[1:] if exps else (1,)
+        return DMod(g.rank + (kind == "rank"), exps)
+    if kind == "rank":
+        return FgAbGroup(g.rank + 1, g.factors)
+    if kind == "deepen" and g.factors:
+        return canonicalize(g.factors[:-1] + (g.factors[-1] * q,), g.rank)
+    return canonicalize(g.factors + (q,), g.rank)
+
+
+@pytest.mark.parametrize("where", ["early", "middle", "late"])
+@pytest.mark.parametrize("kind", ["rank", "torsion", "deepen"])
+def test_scan_matches_naive_reference(kind, where):
+    rng = random.Random(f"scan/{kind}/{where}")
+    third = ("early", "middle", "late").index(where)
+    for trial in range(12):
+        real = random_realization(rng, max_dim=4, n_labels=rng.randint(3, 6))
+        if trial % 3 == 0:  # prime-power ambients reach the witness search
+            n = len(real.relations)
+            p = rng.choice((2, 3))
+            rel = [[p ** rng.randint(1, 5) if i == j else 0 for j in range(n)]
+                   for i in range(n)]
+            real = Realization(real.labels, rel, real.vectors)
+        m = from_realization(real)
+        size = len(m.table)
+        mask = rng.randrange(size * third // 3, size * (third + 1) // 3)
+        q = rng.choice((2, 3))
+        table = list(m.table)
+        table[mask] = changed(table[mask], kind, q)
+        z = ZMatroid(m.labels, tuple(table))
+        want = naive_scan(z.labels, z.table, check_m1, check_square)
+        assert is_matroid(z) == want
+        for p in matroid_support_primes(m) or (2,):
+            loc = list(localize_matroid(m, p).table)
+            loc[mask] = changed(loc[mask], kind, q)
+            d = DvrMatroid(m.labels, tuple(loc))
+            assert is_matroid_dvr(d) == naive_scan(d.labels, d.table, m1_failure_dvr,
+                                                   square_failure_dvr)
