@@ -15,26 +15,15 @@ from __future__ import annotations
 
 import argparse
 import random
-import string
 
 from modmatroid.abgroups import INF
 from modmatroid.matroids import (
-    Realization,
     from_realization,
     localize_matroid,
     matroid_support_primes,
+    random_realization,
 )
 from modmatroid.tropical import flag_pluecker_scan, heights
-
-
-def random_realization(rng: random.Random, max_dim: int, max_labels: int, max_entry: int) -> Realization:
-    n = rng.randint(1, max_dim)
-    e = rng.randint(1, max_labels)
-    m = rng.randint(0, n)
-    labels = tuple(string.ascii_lowercase[:e])
-    relations = [[rng.randint(-max_entry, max_entry) for _ in range(m)] for _ in range(n)]
-    vectors = [[rng.randint(-max_entry, max_entry) for _ in range(e)] for _ in range(n)]
-    return Realization(labels, relations, vectors)
 
 
 def parse_horizons(text: str):

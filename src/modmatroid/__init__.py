@@ -48,14 +48,7 @@ from .matroids import (
 )
 from .oracle import pushout_oracle, quotient_by_element, surjection_oracle
 from .qam import QamData, check_axioms, to_qam
-from .surjections import (
-    DSeq,
-    cyclic_surjection_exists,
-    cyclic_surjection_exists_dvr,
-    quotient_dseq,
-    square_exists,
-    square_exists_dvr,
-)
+from .surjections import cyclic_surjection_exists, square_exists
 from .tropical import (
     HeightFunction,
     TropicalVerdict,

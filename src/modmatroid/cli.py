@@ -288,8 +288,11 @@ def main(argv=None) -> int:
             return 0
 
         if cmd == "dressian":
-            m = _verified(args.input)
-            h = heights(localize_matroid(m, args.p), args.n)
+            m = _load_matroid(args.input)
+            if args.r is not None and not 0 <= args.r <= len(m.labels):
+                print(f"error: --r must lie in 0..{len(m.labels)}", file=sys.stderr)
+                return 2
+            h = heights(localize_matroid(verify(m), args.p), args.n)
             if args.r is not None:
                 verdict = dressian_check(h, args.r)
             else:

@@ -10,6 +10,8 @@ from an integer vector configuration satisfy this by construction.
 
 from __future__ import annotations
 
+import random
+import string
 from dataclasses import dataclass, field
 
 from .abgroups import (
@@ -125,6 +127,22 @@ class Realization:
             raise ValueError("one generator column per label required")
         if self.labels and n != nv:
             raise ValueError("relation and generator row counts differ")
+
+
+def random_realization(rng: random.Random, max_dim: int = 4, max_labels: int = 6,
+                       max_entry: int = 9, n_labels: int | None = None) -> Realization:
+    """A random configuration: 1..max_dim ambient rows, up to as many
+    relation columns, labels a, b, c, ... (``n_labels`` of them, else
+    1..max_labels) and entries in [-max_entry, max_entry]."""
+    n = rng.randint(1, max_dim)
+    e = n_labels if n_labels is not None else rng.randint(1, max_labels)
+    m = rng.randint(0, n)
+    labels = tuple(string.ascii_lowercase[:e])
+    relations = [[rng.randint(-max_entry, max_entry) for _ in range(m)]
+                 for _ in range(n)]
+    vectors = [[rng.randint(-max_entry, max_entry) for _ in range(e)]
+               for _ in range(n)]
+    return Realization(labels, relations, vectors)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ linearly with rank(N0)-rank(N1)-rank(N2)+rank(N12).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,10 +122,6 @@ def m1_failure_dvr(src: DMod, dst: DMod) -> SquareVerdict:
     return _OK
 
 
-def cyclic_surjection_exists_dvr(src: DMod, dst: DMod) -> bool:
-    return m1_failure_dvr(src, dst).ok
-
-
 def square_failure_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> SquareVerdict:
     top = _nmax(n0, n1, n2, n12)
     for a, b in ((n0, n1), (n0, n2), (n1, n12), (n2, n12)):
@@ -147,10 +142,6 @@ def square_failure_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> SquareVerdict
     if n1.rank != n2.rank and (slope != 0 or acc != 0):
         return SquareVerdict(False, L2B, None, top + 1)
     return _OK
-
-
-def square_exists_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> bool:
-    return square_failure_dvr(n0, n1, n2, n12).ok
 
 
 def _deltas(hi: DMod, lo: DMod, top: int) -> list[int]:
@@ -422,65 +413,3 @@ def check_square(
 
 def square_exists(n0: FgAbGroup, n1: FgAbGroup, n2: FgAbGroup, n12: FgAbGroup) -> bool:
     return check_square(n0, n1, n2, n12).ok
-
-
-@dataclass(frozen=True)
-class DSeq:
-    """A 0/1 sequence with an eventually constant tail.
-
-    Encodes d_i(N) - d_i(N/(x)) for a cyclic-kernel quotient: ``head``
-    lists the first values, ``tail`` is the value from position
-    len(head)+1 on.
-    """
-
-    head: tuple[int, ...]
-    tail: int
-
-    def __post_init__(self):
-        if self.tail not in (0, 1) or any(v not in (0, 1) for v in self.head):
-            raise ValueError("entries must be 0 or 1")
-
-    def at(self, i: int) -> int:
-        if i < 1:
-            raise ValueError("positions start at 1")
-        return self.head[i - 1] if i <= len(self.head) else self.tail
-
-
-def quotient_dseq(gen_lengths, coord_valuations) -> DSeq:
-    """Drop sequence of the quotient map N -> N/(x).
-
-    N is a sum of cyclic summands with exponents ``gen_lengths`` (INF for
-    a free summand); ``coord_valuations`` holds the valuation of each
-    coordinate of x (INF for a zero coordinate).  The result is the
-    lexicographically least 0/1 sequence such that, within the window of
-    each summand, the number of zeros never exceeds min(length, valuation),
-    the residue dimension of the cyclic submodule x generates there.
-
-    Greedy is exact here: a zero placed as early as possible never blocks
-    a later zero, because every window is a prefix.
-    """
-    ls = list(gen_lengths)
-    vs = list(coord_valuations)
-    if len(ls) != len(vs):
-        raise ValueError("length mismatch")
-    nu = [min(l, v) for l, v in zip(ls, vs)]
-    finite = [int(l) for l in ls if l is not INF and not math.isinf(l)]
-    horizon = max(finite, default=0)
-    inf_cap = min(
-        (n for l, n in zip(ls, nu) if l is INF or math.isinf(l)), default=INF
-    )
-    head: list[int] = []
-    zeros = 0
-    for i in range(1, horizon + 1):
-        cap = min((n for l, n in zip(ls, nu) if l >= i), default=INF)
-        if zeros + 1 <= cap:
-            head.append(0)
-            zeros += 1
-        else:
-            head.append(1)
-    if inf_cap is INF or math.isinf(inf_cap):
-        return DSeq(tuple(head), 0)
-    while zeros + 1 <= inf_cap:
-        head.append(0)
-        zeros += 1
-    return DSeq(tuple(head), 1)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -80,100 +79,85 @@ def _min_count(values):
     return lo, sum(1 for v in values if v == lo)
 
 
-@lru_cache(maxsize=64)
-def _three_term_relations(e: int):
-    """(A, b, c, d, six masks) for every A and unordered triple outside it."""
-    rels = []
-    for a in subsets(e):
-        outside = [i for i in range(e) if not a >> i & 1]
-        for b, c, d in combinations(outside, 3):
-            rels.append((
-                a, b, c, d,
-                a | 1 << b, a | 1 << c | 1 << d,
-                a | 1 << c, a | 1 << b | 1 << d,
-                a | 1 << d, a | 1 << b | 1 << c,
-            ))
-    return tuple(rels)
-
-
 def three_term_check(h: HeightFunction) -> TropicalVerdict:
     """Minimum of the three pair sums attained at least twice, for all (A, bcd)."""
     p = h.values
     lab = h.labels
+    e = len(lab)
     bad = []
-    for a, b, c, d, m1, m2, m3, m4, m5, m6 in _three_term_relations(len(lab)):
-        terms = (p[m1] + p[m2], p[m3] + p[m4], p[m5] + p[m6])
-        lo, k = _min_count(terms)
-        if k < 2:
-            names = (lab[b], lab[c], lab[d])
-            which = terms.index(lo)
-            bad.append(TropicalViolation(
-                f"three-term A={{{','.join(labels_of(lab, a))}}} "
-                f"b={names[0]} c={names[1]} d={names[2]}",
-                terms,
-                f"term {which + 1} = {_fmt(lo)}",
-            ))
+    for a in subsets(e):
+        outside = [i for i in range(e) if not a >> i & 1]
+        for b, c, d in combinations(outside, 3):
+            ab, ac, ad = a | 1 << b, a | 1 << c, a | 1 << d
+            terms = (p[ab] + p[ac | 1 << d], p[ac] + p[ab | 1 << d], p[ad] + p[ab | 1 << c])
+            lo, k = _min_count(terms)
+            if k < 2:
+                which = terms.index(lo)
+                bad.append(TropicalViolation(
+                    f"three-term A={{{','.join(labels_of(lab, a))}}} "
+                    f"b={lab[b]} c={lab[c]} d={lab[d]}",
+                    terms,
+                    f"term {which + 1} = {_fmt(lo)}",
+                ))
     return TropicalVerdict(not bad, tuple(bad))
 
 
-@lru_cache(maxsize=64)
-def _exchange_relations(e: int, size_filter: int | None = None):
-    """Single-element exchange instances: (A, B, a, term mask pairs).
+def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
+    """Single-element exchanges over pairs |A| <= |B|, in one streamed pass.
 
-    Terms swap a out of A against each b in (B minus A) plus a itself, so
-    one term is always the untouched pair (A, B).  Instances with fewer
-    than two terms say nothing and are dropped.
+    The instance (A, B, a) for a in A minus B swaps a against each b in
+    B minus A, in label order; its first term is the untouched pair
+    (A, B).  Instances with B minus A empty have one term and are
+    skipped.  ``size`` restricts A and B to subsets of that size.
     """
-    rels = []
-    for a_mask in subsets(e):
-        for b_mask in subsets(e):
-            if popcount(a_mask) > popcount(b_mask):
-                continue
-            if size_filter is not None and (
-                popcount(a_mask) != size_filter or popcount(b_mask) != size_filter
-            ):
-                continue
-            swap_in = [j for j in range(e) if b_mask >> j & 1 and not a_mask >> j & 1]
-            if not swap_in:
-                continue
-            for i in range(e):
-                if not (a_mask >> i & 1 and not b_mask >> i & 1):
-                    continue
-                pairs = [(a_mask, b_mask)] + [
-                    ((a_mask & ~(1 << i)) | 1 << j, (b_mask | 1 << i) & ~(1 << j))
-                    for j in swap_in
-                ]
-                rels.append((a_mask, b_mask, i, tuple(pairs)))
-    return tuple(rels)
-
-
-def _run_exchange(h: HeightFunction, rels) -> TropicalVerdict:
     p = h.values
     lab = h.labels
+    e = len(lab)
+    # the one-bit masks of every subset, lowest label first
+    ones = [[1 << i for i in range(e) if m >> i & 1] for m in subsets(e)]
+    masks = subsets(e) if size is None else [m for m in subsets(e) if len(ones[m]) == size]
     bad = []
-    for a_mask, b_mask, i, pairs in rels:
-        terms = tuple(p[x] + p[y] for x, y in pairs)
-        lo, k = _min_count(terms)
-        if k < 2:
-            x, y = pairs[terms.index(lo)]
-            bad.append(TropicalViolation(
-                f"exchange A={{{','.join(labels_of(lab, a_mask))}}} "
-                f"B={{{','.join(labels_of(lab, b_mask))}}} a={lab[i]}",
-                terms,
-                f"({{{','.join(labels_of(lab, x))}}},"
-                f"{{{','.join(labels_of(lab, y))}}}) = {_fmt(lo)}",
-            ))
+    for a_mask in masks:
+        pa = p[a_mask]
+        na = len(ones[a_mask])
+        for b_mask in masks:
+            swap_in = ones[b_mask & ~a_mask]
+            if not swap_in or len(ones[b_mask]) < na:
+                continue
+            base = pa + p[b_mask]
+            for out in ones[a_mask & ~b_mask]:
+                a_out = a_mask ^ out
+                b_in = b_mask | out
+                terms = [base]
+                terms += [p[a_out | s] + p[b_in ^ s] for s in swap_in]
+                lo = min(terms)
+                if terms.count(lo) > 1:  # the common case, decided without _min_count
+                    continue
+                lo, k = _min_count(terms)
+                if k > 1:
+                    continue
+                which = terms.index(lo)
+                x, y = (a_mask, b_mask) if which == 0 else (
+                    a_out | swap_in[which - 1], b_in ^ swap_in[which - 1])
+                bad.append(TropicalViolation(
+                    f"exchange A={{{','.join(labels_of(lab, a_mask))}}} "
+                    f"B={{{','.join(labels_of(lab, b_mask))}}} "
+                    f"a={lab[out.bit_length() - 1]}",
+                    tuple(terms),
+                    f"({{{','.join(labels_of(lab, x))}}},"
+                    f"{{{','.join(labels_of(lab, y))}}}) = {_fmt(lo)}",
+                ))
     return TropicalVerdict(not bad, tuple(bad))
 
 
 def single_exchange_check(h: HeightFunction) -> TropicalVerdict:
     """Every exchange of one element between subset pairs, all sizes."""
-    return _run_exchange(h, _exchange_relations(len(h.labels)))
+    return _exchange_check(h, None)
 
 
 def dressian_check(h: HeightFunction, r: int) -> TropicalVerdict:
     """Single exchanges restricted to pairs of r-subsets."""
-    return _run_exchange(h, _exchange_relations(len(h.labels), r))
+    return _exchange_check(h, r)
 
 
 def flag_pluecker_scan(

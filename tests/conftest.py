@@ -1,23 +1,8 @@
 import random
-import string
 
 import pytest
 
-from modmatroid.matroids import Realization, from_realization
-
-
-def random_realization(rng: random.Random, max_dim=4, max_labels=6, max_entry=9,
-                       n_labels=None) -> Realization:
-    """A random integer vector configuration at desk scale."""
-    n = rng.randint(1, max_dim)
-    e = n_labels if n_labels is not None else rng.randint(1, max_labels)
-    m = rng.randint(0, n)
-    labels = tuple(string.ascii_lowercase[:e])
-    relations = [[rng.randint(-max_entry, max_entry) for _ in range(m)]
-                 for _ in range(n)]
-    vectors = [[rng.randint(-max_entry, max_entry) for _ in range(e)]
-               for _ in range(n)]
-    return Realization(labels, relations, vectors)
+from modmatroid.matroids import from_realization, random_realization
 
 
 @pytest.fixture(scope="session")

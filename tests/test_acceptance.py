@@ -35,6 +35,7 @@ from modmatroid.matroids import (
     is_matroid,
     localize_matroid,
     matroid_support_primes,
+    random_realization,
     relabel,
 )
 from modmatroid.oracle import abelian_p_groups, pair_quotient_map, pushout_oracle, surjection_oracle
@@ -55,8 +56,6 @@ from modmatroid.tutte import (
     quasi_tutte_eval,
     tutte_class,
 )
-
-from conftest import random_realization
 
 _T0 = time.monotonic()
 

@@ -207,8 +207,16 @@ def test_localize_rejects_composite(run):
 def test_dressian(run):
     code, out, err = run(["dressian", "--p", "2", "--n", "2"], GOOD_MATROID)
     assert code == 0 and out.strip() == "OK"
-    code, out, err = run(["dressian", "--p", "2", "--n", "INF", "--r", "1"], GOOD_MATROID)
-    assert code == 0 and out.strip() == "OK"
+    for r in ("0", "1", "2"):
+        code, out, err = run(["dressian", "--p", "2", "--n", "INF", "--r", r], GOOD_MATROID)
+        assert code == 0 and out.strip() == "OK"
+
+
+@pytest.mark.parametrize("r", ["99", "-3", "3"])
+def test_dressian_rank_out_of_range(run, r):
+    code, out, err = run(["dressian", "--p", "2", "--n", "2", "--r", r], GOOD_MATROID)
+    assert code == 2 and out == ""
+    assert err == "error: --r must lie in 0..2\n"
 
 
 def test_flagscan_with_log(run, tmp_path):

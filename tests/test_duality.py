@@ -17,11 +17,10 @@ from modmatroid.matroids import (
     is_matroid,
     localize_matroid,
     matroid_support_primes,
+    random_realization,
     residue_matroid,
     verify,
 )
-
-from conftest import random_realization
 
 GOOD = Realization(("1", "2"), [[4, 0], [0, 2]], [[1, 1], [0, 1]])
 

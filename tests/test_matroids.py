@@ -25,6 +25,7 @@ from modmatroid.matroids import (
     localize_matroid,
     mask_of,
     matroid_support_primes,
+    random_realization,
     relabel,
     residue_matroid,
     subset_key,
@@ -38,8 +39,6 @@ from modmatroid.surjections import (
     m1_failure_dvr,
     square_failure_dvr,
 )
-
-from conftest import random_realization
 
 GOOD = Realization(("1", "2"), [[4, 0], [0, 2]], [[1, 1], [0, 1]])
 BAD_TABLE = (

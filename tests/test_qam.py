@@ -12,12 +12,11 @@ from modmatroid.matroids import (
     ZMatroid,
     direct_sum,
     from_realization,
+    random_realization,
     relabel,
 )
 from modmatroid.abgroups import FgAbGroup, TRIVIAL
 from modmatroid.qam import QamData, check_axioms, to_qam
-
-from conftest import random_realization
 
 GOOD = Realization(("1", "2"), [[4, 0], [0, 2]], [[1, 1], [0, 1]])
 

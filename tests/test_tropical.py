@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -12,9 +13,12 @@ from modmatroid.matroids import (
     from_realization,
     localize_matroid,
     matroid_support_primes,
+    random_realization,
 )
 from modmatroid.tropical import (
     HeightFunction,
+    TropicalVerdict,
+    TropicalViolation,
     dressian_check,
     flag_pluecker_scan,
     heights,
@@ -22,8 +26,6 @@ from modmatroid.tropical import (
     three_term_check,
     valuated_matroid_check,
 )
-
-from conftest import random_realization
 
 GCD_LINE = Realization(("1", "2", "3"), [[]], [[1, 2, 4]])
 
@@ -95,6 +97,23 @@ def test_flag_scan_evidence_lines():
     assert all(int(line.rsplit(" ", 1)[1]) >= 2 for line in lines)
 
 
+def test_flag_scan_violation_frozen():
+    # the GCD-line heights at n = 2 with the entry at {1} raised by one
+    h = HeightFunction(("1", "2", "3"), 2, (2, 1, 1, 0, 2, 0, 1, 0))
+    lines: list[str] = []
+    v = flag_pluecker_scan(h, sink=lines.append)
+    assert not v.ok and len(v.violations) == 3 and len(lines) == 15
+    w = v.violations[0]
+    assert w.relation == "flag A_f={} A_e={1} B_f={} B_e={2,3}"
+    assert w.terms == (2, 1, 2)
+    assert w.argmin == "1"
+    assert [line for line in lines if line.endswith(" COUNT 1")] == [
+        "RELATION |1||2,3 MIN 1 COUNT 1",
+        "RELATION |2||1,3 MIN 1 COUNT 1",
+        "RELATION |3||1,2 MIN 1 COUNT 1",
+    ]
+
+
 def test_flag_scan_cap():
     labels = tuple("abcdefghi")
     h = HeightFunction(labels, 1, (0,) * (1 << 9))
@@ -163,3 +182,108 @@ def test_heights_monotone_in_horizon(seed):
         prev = cur
     top = heights(loc, INF).values
     assert all(a <= b for a, b in zip(prev, top))
+
+
+# --- reference: the relation families enumerated in full, then checked ---
+
+
+def _ref_min_count(values):
+    lo = min(values)
+    if lo == INF:
+        return lo, len(values)
+    return lo, sum(1 for v in values if v == lo)
+
+
+def _names(lab, mask):
+    return ",".join(lab[i] for i in range(len(lab)) if mask >> i & 1)
+
+
+def _ref_three_term(h):
+    lab, p, e = h.labels, h.values, len(h.labels)
+    rels = []
+    for a in range(1 << e):
+        outside = [i for i in range(e) if not a >> i & 1]
+        for b, c, d in itertools.combinations(outside, 3):
+            rels.append((a, b, c, d, (
+                (a | 1 << b, a | 1 << c | 1 << d),
+                (a | 1 << c, a | 1 << b | 1 << d),
+                (a | 1 << d, a | 1 << b | 1 << c),
+            )))
+    bad = []
+    for a, b, c, d, pairs in rels:
+        terms = tuple(p[x] + p[y] for x, y in pairs)
+        lo, k = _ref_min_count(terms)
+        if k < 2:
+            bad.append(TropicalViolation(
+                f"three-term A={{{_names(lab, a)}}} b={lab[b]} c={lab[c]} d={lab[d]}",
+                terms, f"term {terms.index(lo) + 1} = {'INF' if lo == INF else lo}"))
+    return TropicalVerdict(not bad, tuple(bad))
+
+
+def _ref_exchange(h, size=None):
+    lab, p, e = h.labels, h.values, len(h.labels)
+    pop = int.bit_count
+    rels = []
+    for a in range(1 << e):
+        for b in range(1 << e):
+            if pop(a) > pop(b) or size is not None and not pop(a) == pop(b) == size:
+                continue
+            swap_in = [j for j in range(e) if b >> j & 1 and not a >> j & 1]
+            if not swap_in:
+                continue
+            for i in range(e):
+                if a >> i & 1 and not b >> i & 1:
+                    pairs = [(a, b)] + [((a & ~(1 << i)) | 1 << j, (b | 1 << i) & ~(1 << j))
+                                        for j in swap_in]
+                    rels.append((a, b, i, pairs))
+    bad = []
+    for a, b, i, pairs in rels:
+        terms = tuple(p[x] + p[y] for x, y in pairs)
+        lo, k = _ref_min_count(terms)
+        if k < 2:
+            x, y = pairs[terms.index(lo)]
+            bad.append(TropicalViolation(
+                f"exchange A={{{_names(lab, a)}}} B={{{_names(lab, b)}}} a={lab[i]}",
+                terms, f"({{{_names(lab, x)}}},{{{_names(lab, y)}}}) = "
+                       f"{'INF' if lo == INF else lo}"))
+    return TropicalVerdict(not bad, tuple(bad))
+
+
+def _reference_heights():
+    """Realized heights at e <= 6, perturbed copies, and copies with INF entries."""
+    rng = random.Random(31)
+    out = [HeightFunction((), 1, (0,)), HeightFunction((), INF, (INF,))]
+    for e in range(1, 7):
+        for _ in range(2):
+            m = from_realization(random_realization(rng, max_dim=3, n_labels=e, max_entry=6))
+            p = (matroid_support_primes(m) or (2,))[0]
+            loc = localize_matroid(m, p)
+            for n in (1, 2, INF):
+                h = heights(loc, n)
+                out.append(h)
+                for _ in range(2):
+                    v = list(h.values)
+                    for s in rng.sample(range(len(v)), min(len(v), 3)):
+                        v[s] = max(0, v[s] + rng.choice((-2, -1, 1, 2))) if v[s] != INF else 1
+                    out.append(HeightFunction(h.labels, n, tuple(v)))
+                v = list(h.values)
+                for s in rng.sample(range(len(v)), max(1, len(v) // 4)):
+                    v[s] = INF
+                out.append(HeightFunction(h.labels, n, tuple(v)))
+    return out
+
+
+def test_streamed_sweeps_match_reference():
+    failing = {"three-term": 0, "exchange": 0, "dressian": 0}
+    inf_terms = 0
+    for h in _reference_heights():
+        e = len(h.labels)
+        pairs = [("three-term", three_term_check(h), _ref_three_term(h)),
+                 ("exchange", single_exchange_check(h), _ref_exchange(h))]
+        pairs += [("dressian", dressian_check(h, r), _ref_exchange(h, r)) for r in range(e + 1)]
+        for name, got, want in pairs:
+            assert got == want, (name, h)
+            failing[name] += not want.ok
+            inf_terms += sum(INF in v.terms for v in want.violations)
+    # the inputs do exercise violations of every family and INF-valued terms
+    assert all(failing.values()) and inf_terms, (failing, inf_terms)

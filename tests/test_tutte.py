@@ -16,6 +16,7 @@ from modmatroid.matroids import (
     from_realization,
     generic_loops_coloops,
     generic_rank,
+    random_realization,
     relabel,
 )
 from modmatroid.tutte import (
@@ -26,8 +27,6 @@ from modmatroid.tutte import (
     quasi_tutte_eval,
     tutte_class,
 )
-
-from conftest import random_realization
 
 GOOD = Realization(("1", "2"), [[4, 0], [0, 2]], [[1, 1], [0, 1]])
 U12 = Realization(("a", "b"), [[]], [[1, 1]])
