@@ -5,7 +5,8 @@ documents arrive as JSON files (or ``-`` for stdin) and results go to
 stdout.  Exit codes: 0 for OK / true, 1 for a verified negative (an
 axiom violation, a failed tropical relation, an oracle disagreement),
 2 for usage or parse errors, including preconditions like an input that
-would first need essentializing.
+would first need essentializing, 3 for an internal failure (a witness
+search out of budget, a failed consistency check).
 """
 
 from __future__ import annotations
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
     except MatroidError as exc:
         print(exc)
         return 1
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError(f"unhandled command {cmd}")
 
 

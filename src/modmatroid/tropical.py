@@ -7,7 +7,8 @@ relation and every exchange relation that moves a single element, which
 is what membership in the corresponding Dressian asks for.  "Tropically
 satisfy" means the minimum over the relation's term values is attained
 at least twice; signs never matter for that, and a relation whose terms
-are all infinite is vacuously fine.
+are all infinite is vacuously fine (INF is ``math.inf``, so every such
+term equals the minimum and is counted).
 
 The full multi-element exchange family is only conjectured to hold, so
 the scanner over all of it reports evidence instead of asserting, one
@@ -72,13 +73,6 @@ def _fmt(x) -> str:
     return "INF" if x is INF or (isinstance(x, float) and math.isinf(x)) else str(x)
 
 
-def _min_count(values):
-    lo = min(values)
-    if isinstance(lo, float) and math.isinf(lo):
-        return lo, len(values)  # all infinite: vacuous
-    return lo, sum(1 for v in values if v == lo)
-
-
 def three_term_check(h: HeightFunction) -> TropicalVerdict:
     """Minimum of the three pair sums attained at least twice, for all (A, bcd)."""
     p = h.values
@@ -90,8 +84,8 @@ def three_term_check(h: HeightFunction) -> TropicalVerdict:
         for b, c, d in combinations(outside, 3):
             ab, ac, ad = a | 1 << b, a | 1 << c, a | 1 << d
             terms = (p[ab] + p[ac | 1 << d], p[ac] + p[ab | 1 << d], p[ad] + p[ab | 1 << c])
-            lo, k = _min_count(terms)
-            if k < 2:
+            lo = min(terms)
+            if terms.count(lo) < 2:
                 which = terms.index(lo)
                 bad.append(TropicalViolation(
                     f"three-term A={{{','.join(labels_of(lab, a))}}} "
@@ -131,10 +125,7 @@ def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
                 terms = [base]
                 terms += [p[a_out | s] + p[b_in ^ s] for s in swap_in]
                 lo = min(terms)
-                if terms.count(lo) > 1:  # the common case, decided without _min_count
-                    continue
-                lo, k = _min_count(terms)
-                if k > 1:
+                if terms.count(lo) > 1:
                     continue
                 which = terms.index(lo)
                 x, y = (a_mask, b_mask) if which == 0 else (
@@ -157,6 +148,8 @@ def single_exchange_check(h: HeightFunction) -> TropicalVerdict:
 
 def dressian_check(h: HeightFunction, r: int) -> TropicalVerdict:
     """Single exchanges restricted to pairs of r-subsets."""
+    if not 0 <= r <= len(h.labels):
+        raise ValueError(f"r must lie in 0..{len(h.labels)}")
     return _exchange_check(h, r)
 
 
@@ -176,51 +169,49 @@ def flag_pluecker_scan(
     if e > FLAG_SCAN_MAX_LABELS:
         raise ValueError(f"flag scan is capped at {FLAG_SCAN_MAX_LABELS} labels")
     p = h.values
-    lab = h.labels
-    def names(mask: int) -> str:
-        return ",".join(labels_of(lab, mask))
+    # subs[m][k]: the k-element submasks of m in the order combinations()
+    # gives over m's bit positions (those holding m's lowest bit first)
+    subs = [[[0]]]
+    for m in range(1, 1 << e):
+        low = m & -m
+        rest = subs[m ^ low]
+        subs.append([rest[0]] + [
+            [low | s for s in rest[k - 1]] + (rest[k] if k < len(rest) else [])
+            for k in range(1, len(rest) + 1)
+        ])
+    size = [len(t) - 1 for t in subs]
+    names = [",".join(labels_of(h.labels, m)) for m in subsets(e)]
     bad = []
     for a_mask in subsets(e):
-        a_bits = [i for i in range(e) if a_mask >> i & 1]
+        a_size = size[a_mask]
         for b_mask in subsets(e):
-            if popcount(a_mask) > popcount(b_mask):
+            if a_size > size[b_mask]:
                 continue
-            swap = popcount(b_mask & ~a_mask)  # |B \ A|
-            a_only = [i for i in a_bits if not b_mask >> i & 1]
-            b_only = [j for j in range(e) if b_mask >> j & 1 and not a_mask >> j & 1]
-            for ae_size in range(1, len(a_only) + 1):
-                be_size = swap + 1 - ae_size
-                if be_size < 1 or be_size > len(b_only):
-                    # fewer than two terms (or impossible): nothing to check
-                    continue
-                for ae in combinations(a_only, ae_size):
-                    ae_mask = 0
-                    for i in ae:
-                        ae_mask |= 1 << i
-                    af_mask = a_mask & ~ae_mask
-                    for be in combinations(b_only, be_size):
-                        be_mask = 0
-                        for j in be:
-                            be_mask |= 1 << j
-                        bf_mask = b_mask & ~be_mask
-                        pot = sorted(ae + be)
-                        terms = []
-                        for new_ae in combinations(pot, ae_size):
-                            na = 0
-                            for i in new_ae:
-                                na |= 1 << i
-                            terms.append(p[af_mask | na] + p[bf_mask | (ae_mask | be_mask) & ~na])
-                        lo, k = _min_count(terms)
+            a_only = a_mask & ~b_mask
+            b_only = b_mask & ~a_mask
+            swap = size[b_only]  # |B \ A|
+            # |A_e| + |B_e| = swap + 1; as |A \ B| <= swap, B_e is never
+            # empty, and an empty A_e would leave a single term
+            for ae_size in range(1, size[a_only] + 1):
+                be_all = subs[b_only][swap + 1 - ae_size]
+                for ae_mask in subs[a_only][ae_size]:
+                    af_mask = a_mask ^ ae_mask
+                    for be_mask in be_all:
+                        bf_mask = b_mask ^ be_mask
+                        pot = ae_mask | be_mask
+                        terms = [p[af_mask | s] + p[bf_mask | pot ^ s] for s in subs[pot][ae_size]]
+                        lo = min(terms)
+                        k = terms.count(lo)  # all-INF terms count in full: vacuous
                         if sink is not None:
                             sink(
-                                f"RELATION {names(af_mask)}|{names(ae_mask)}"
-                                f"|{names(bf_mask)}|{names(be_mask)} "
+                                f"RELATION {names[af_mask]}|{names[ae_mask]}"
+                                f"|{names[bf_mask]}|{names[be_mask]} "
                                 f"MIN {_fmt(lo)} COUNT {k}"
                             )
                         if k < 2:
                             bad.append(TropicalViolation(
-                                f"flag A_f={{{names(af_mask)}}} A_e={{{names(ae_mask)}}} "
-                                f"B_f={{{names(bf_mask)}}} B_e={{{names(be_mask)}}}",
+                                f"flag A_f={{{names[af_mask]}}} A_e={{{names[ae_mask]}}} "
+                                f"B_f={{{names[bf_mask]}}} B_e={{{names[be_mask]}}}",
                                 tuple(terms),
                                 _fmt(lo),
                             ))

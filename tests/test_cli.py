@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from modmatroid import surjections
 from modmatroid.cli import build_parser, main
 from modmatroid.jsonio import dumps
 
@@ -31,6 +32,11 @@ GOOD_REAL = {
     "generators": {"1": [1, 0], "2": [1, 1]},
 }
 GCD_REAL = {"ambient_relations": [], "generators": {"1": [1], "2": [2], "3": [4]}}
+# realizable, yet rejected: the witness search finds no pair for one square
+NO_WITNESS_REAL = {
+    "ambient_relations": [[256, 0, 0, 0], [0, 64, 0, 0], [0, 0, 16, 0], [0, 0, 0, 128]],
+    "generators": {"e": [-64, -46, 24, 18], "f": [20, -43, 10, 63], "i": [-6, -61, -24, -58]},
+}
 
 
 @pytest.fixture
@@ -57,6 +63,21 @@ def test_check_rejects(run):
 def test_check_accepts(run):
     code, out, err = run(["check"], GOOD_MATROID)
     assert code == 0 and out.strip() == "OK"
+
+
+def test_check_internal_failure_exits_3(run, monkeypatch):
+    code, doc, _ = run(["realize"], NO_WITNESS_REAL)
+    assert code == 0
+    code, out, _ = run(["check"], json.loads(doc))
+    assert code == 1 and out == "violation A={e} b=f c=i: no-witness-pair p=2 n=7\n"
+    # with no search budget the same decision raises instead
+    monkeypatch.setattr(surjections, "_SEARCH_GUARD", 0)
+    surjections.check_square.cache_clear()
+    surjections._square_local.cache_clear()
+    code, out, err = run(["check"], json.loads(doc))
+    assert code == 3 and out == ""
+    assert err == ("error: witness search budget exceeded; exponents too large"
+                   " for the exact square decision\n")
 
 
 def test_check_reads_stdin(monkeypatch, capsys):

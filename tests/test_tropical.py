@@ -84,6 +84,13 @@ def test_dressian_restriction():
     assert dressian_check(h, 2).ok
 
 
+@pytest.mark.parametrize("r", [-1, 4])
+def test_dressian_rank_out_of_range(r):
+    h = heights(_loc(GCD_LINE, 2), 2)
+    with pytest.raises(ValueError, match=r"r must lie in 0\.\.3"):
+        dressian_check(h, r)
+
+
 def test_flag_scan_evidence_lines():
     h = heights(_loc(GCD_LINE, 2), 2)
     lines: list[str] = []
@@ -287,3 +294,56 @@ def test_streamed_sweeps_match_reference():
             inf_terms += sum(INF in v.terms for v in want.violations)
     # the inputs do exercise violations of every family and INF-valued terms
     assert all(failing.values()) and inf_terms, (failing, inf_terms)
+
+
+def _ref_flag_scan(h, sink=None):
+    """The flag scan spelled out with combinations over bit positions."""
+    lab, p, e = h.labels, h.values, len(h.labels)
+    pop = int.bit_count
+    bad = []
+    for a_mask in range(1 << e):
+        a_bits = [i for i in range(e) if a_mask >> i & 1]
+        for b_mask in range(1 << e):
+            if pop(a_mask) > pop(b_mask):
+                continue
+            swap = pop(b_mask & ~a_mask)
+            a_only = [i for i in a_bits if not b_mask >> i & 1]
+            b_only = [j for j in range(e) if b_mask >> j & 1 and not a_mask >> j & 1]
+            for ae_size in range(1, len(a_only) + 1):
+                be_size = swap + 1 - ae_size
+                if be_size < 1 or be_size > len(b_only):
+                    continue
+                for ae in itertools.combinations(a_only, ae_size):
+                    ae_mask = sum(1 << i for i in ae)
+                    af_mask = a_mask & ~ae_mask
+                    for be in itertools.combinations(b_only, be_size):
+                        be_mask = sum(1 << j for j in be)
+                        bf_mask = b_mask & ~be_mask
+                        terms = []
+                        for new_ae in itertools.combinations(sorted(ae + be), ae_size):
+                            na = sum(1 << i for i in new_ae)
+                            terms.append(p[af_mask | na] + p[bf_mask | (ae_mask | be_mask) & ~na])
+                        lo, k = _ref_min_count(terms)
+                        lo = "INF" if lo == INF else lo
+                        names = [_names(lab, x) for x in (af_mask, ae_mask, bf_mask, be_mask)]
+                        if sink is not None:
+                            sink(f"RELATION {'|'.join(names)} MIN {lo} COUNT {k}")
+                        if k < 2:
+                            bad.append(TropicalViolation(
+                                "flag A_f={%s} A_e={%s} B_f={%s} B_e={%s}" % tuple(names),
+                                tuple(terms), str(lo)))
+    return TropicalVerdict(not bad, tuple(bad))
+
+
+def test_flag_scan_matches_reference():
+    failing = relations = inf_terms = 0
+    for h in _reference_heights():
+        got, want = [], []
+        verdict = flag_pluecker_scan(h, got.append)
+        assert verdict == _ref_flag_scan(h, want.append) == flag_pluecker_scan(h), h
+        assert got == want, h
+        relations += len(want)
+        failing += not verdict.ok
+        inf_terms += sum(INF in v.terms for v in verdict.violations)
+    # the inputs do exercise violations, INF-valued terms and many relations
+    assert failing and inf_terms and relations > 10_000, (failing, inf_terms, relations)
