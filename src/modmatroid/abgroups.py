@@ -105,7 +105,10 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
-@lru_cache(maxsize=None)
+# Bounds of the factorize and localize caches: a 10-label realize batch
+# meets up to about 700 distinct orders and 19k distinct (group, prime)
+# keys, a 16-label realize-and-check about 600 and 28k.
+@lru_cache(maxsize=1 << 12)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
     if n < 1:
@@ -291,7 +294,7 @@ class DMod:
         return self.exps[0] if self.exps else 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)  # see factorize
 def localize(g: FgAbGroup, p: int) -> DMod:
     lam = sorted((v for v in (pval(n, p) for n in g.factors) if v), reverse=True)
     return DMod(g.rank, tuple(lam))

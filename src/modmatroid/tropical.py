@@ -97,48 +97,62 @@ def three_term_check(h: HeightFunction) -> TropicalVerdict:
 
 
 def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
-    """Single-element exchanges over pairs |A| <= |B|, in one streamed pass.
+    """Single-element exchanges over pairs |A| <= |B|, one decision per relation.
 
-    The instance (A, B, a) for a in A minus B swaps a against each b in
-    B minus A, in label order; its first term is the untouched pair
-    (A, B).  Instances with B minus A empty have one term and are
-    skipped.  ``size`` restricts A and B to subsets of that size.
+    The instance (A, B, a), for a in A minus B and B minus A non-empty,
+    has the terms p[X + c] + p[Z - c] for c in Z minus X, where
+    X = A - a and Z = B + a: first c = a (the untouched pair (A, B)),
+    then B minus A in label order.  Every instance of one class (X, Z)
+    has the same terms, so each class with |Z| >= |X| + 2 is decided
+    once, and only a violating class expands into its instances, listed
+    in (A, B, a) order.  ``size`` restricts A and B to subsets of that
+    size, that is |X| = size - 1 and |Z| = size + 1.
     """
     p = h.values
     lab = h.labels
     e = len(lab)
-    # the one-bit masks of every subset, lowest label first
-    ones = [[1 << i for i in range(e) if m >> i & 1] for m in subsets(e)]
-    masks = subsets(e) if size is None else [m for m in subsets(e) if len(ones[m]) == size]
+    if size is None:
+        walks = [(k, range(k + 2, e + 1)) for k in range(e - 1)]
+    else:
+        walks = [(size - 1, (size + 1,))] if 0 < size < e else []
+    if not walks:
+        return TropicalVerdict(True)
+    # the bit positions of every subset, and its heights with one bit flipped
+    pos = [[i for i in range(e) if m >> i & 1] for m in subsets(e)]
+    flip = [[p[m ^ 1 << i] for i in range(e)] for m in subsets(e)]
+    by_size = [[] for _ in range(e + 1)]
+    for m in subsets(e):
+        by_size[len(pos[m])].append(m)
+    found = []
+    for k, z_sizes in walks:
+        for x in by_size[k]:
+            up = flip[x]  # p[X + c] for c outside X
+            outside = ~x
+            for z_size in z_sizes:
+                for z in by_size[z_size]:
+                    down = flip[z]  # p[Z - c] for c in Z
+                    terms = [up[c] + down[c] for c in pos[z & outside]]
+                    if terms.count(min(terms)) < 2:  # all-INF terms count in full
+                        found.append((x, z, terms))
+
+    def name(m):
+        return "{" + ",".join(labels_of(lab, m)) + "}"
+
     bad = []
-    for a_mask in masks:
-        pa = p[a_mask]
-        na = len(ones[a_mask])
-        for b_mask in masks:
-            swap_in = ones[b_mask & ~a_mask]
-            if not swap_in or len(ones[b_mask]) < na:
-                continue
-            base = pa + p[b_mask]
-            for out in ones[a_mask & ~b_mask]:
-                a_out = a_mask ^ out
-                b_in = b_mask | out
-                terms = [base]
-                terms += [p[a_out | s] + p[b_in ^ s] for s in swap_in]
-                lo = min(terms)
-                if terms.count(lo) > 1:
-                    continue
-                which = terms.index(lo)
-                x, y = (a_mask, b_mask) if which == 0 else (
-                    a_out | swap_in[which - 1], b_in ^ swap_in[which - 1])
-                bad.append(TropicalViolation(
-                    f"exchange A={{{','.join(labels_of(lab, a_mask))}}} "
-                    f"B={{{','.join(labels_of(lab, b_mask))}}} "
-                    f"a={lab[out.bit_length() - 1]}",
-                    tuple(terms),
-                    f"({{{','.join(labels_of(lab, x))}}},"
-                    f"{{{','.join(labels_of(lab, y))}}}) = {_fmt(lo)}",
-                ))
-    return TropicalVerdict(not bad, tuple(bad))
+    for x, z, terms in found:
+        cs = pos[z & ~x]
+        lo = min(terms)
+        # the minimum is unique, so every instance names the same pair
+        c = cs[terms.index(lo)]
+        argmin = f"({name(x | 1 << c)},{name(z ^ 1 << c)}) = {_fmt(lo)}"
+        for j, a in enumerate(cs):
+            swapped = terms[j:j + 1] + terms[:j] + terms[j + 1:]
+            bad.append((x | 1 << a, z ^ 1 << a, a, swapped, argmin))
+    bad.sort()  # (A, B, a) tells instances apart, so terms are never compared
+    return TropicalVerdict(not bad, tuple(
+        TropicalViolation(f"exchange A={name(am)} B={name(bm)} a={lab[a]}", tuple(terms), argmin)
+        for am, bm, a, terms, argmin in bad
+    ))
 
 
 def single_exchange_check(h: HeightFunction) -> TropicalVerdict:
@@ -232,8 +246,9 @@ def valuated_matroid_check(m: DvrMatroid) -> TropicalVerdict:
     v = {s: m.table[s].length for s in bases}
     lab = m.labels
     bad = []
-    for a_mask in sorted(bases):
-        for b_mask in sorted(bases):
+    ordered = sorted(bases)
+    for a_mask in ordered:
+        for b_mask in ordered:
             for i in range(e):
                 if not (a_mask >> i & 1 and not b_mask >> i & 1):
                     continue

@@ -1,13 +1,17 @@
 import io
 import json
+import random
 import re
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modmatroid import surjections
 from modmatroid.cli import build_parser, main
-from modmatroid.jsonio import dumps
+from modmatroid.jsonio import dumps, emit_matroid_document
+from modmatroid.matroids import from_realization, random_realization, subset_key, subsets
 
 GOOD_MATROID = {
     "ground_set": ["1", "2"],
@@ -293,3 +297,55 @@ def test_parser_lists_every_subcommand():
         "valuated", "oracle-verify",
     ):
         assert name in text
+
+
+# --- the exit-code contract of `check` on random and mutated documents ---
+# Integers stay small: a large semiprime torsion order still makes
+# factorize run for minutes, an open defect this test does not probe.
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-20, 20) | st.text("0123456789-ab, ", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("ab,", max_size=2), inner, max_size=3),
+    max_leaves=4,
+)
+_ENTRY = st.fixed_dictionaries({"rank": st.integers(0, 2),
+                                "torsion": st.lists(st.integers(1, 12), max_size=2)})
+
+
+@st.composite
+def _check_documents(draw):
+    """A random table or a realized one, edited up to twice, now and then replaced by junk."""
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=3))
+        modules = {subset_key(labels, s): draw(_ENTRY) for s in subsets(len(labels))}
+        doc = {"ground_set": labels, "modules": modules}
+    else:
+        rng = random.Random(draw(st.integers(0, 10_000)))
+        r = random_realization(rng, max_dim=3, max_labels=3, max_entry=6)
+        doc = emit_matroid_document(from_realization(r))
+    for _ in range(draw(st.integers(0, 2))):
+        modules = doc.get("modules")
+        targets = [doc]
+        if isinstance(modules, dict):
+            targets.append(modules)
+            targets += [v for v in modules.values() if isinstance(v, dict)]
+        target = draw(st.sampled_from(targets))
+        keys = sorted(target) + ["ground_set", "modules", "rank", "torsion", "", "a"]
+        key = draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(_JUNK | _ENTRY | st.lists(st.sampled_from("abc"), max_size=3))
+    return draw(_JUNK) if draw(st.integers(0, 9)) == 0 else doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_check_documents())
+def test_check_exit_code_contract(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["check", str(path)])
+    capsys.readouterr()
+    assert code in (0, 1, 2)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -347,3 +348,38 @@ def test_flag_scan_matches_reference():
         inf_terms += sum(INF in v.terms for v in verdict.violations)
     # the inputs do exercise violations, INF-valued terms and many relations
     assert failing and inf_terms and relations > 10_000, (failing, inf_terms, relations)
+
+
+def _exchange_class(v):
+    """The relation (X, Z) = (A - a, B + a) of an exchange violation, as label sets."""
+    a_set, b_set, a = re.fullmatch(r"exchange A=\{(.*)\} B=\{(.*)\} a=(.*)", v.relation).groups()
+    return frozenset(a_set.split(",")) - {a}, frozenset(b_set.split(",")) | {a}
+
+
+def test_exchange_classes_match_reference_at_7_labels():
+    rng = random.Random(7)
+    m = from_realization(random_realization(rng, max_dim=3, n_labels=7, max_entry=6))
+    loc = localize_matroid(m, (matroid_support_primes(m) or (2,))[0])
+    tables = []
+    for n in (2, INF):
+        h = heights(loc, n)
+        perturbed, with_inf = list(h.values), list(h.values)
+        for s in rng.sample(range(1, 127), 4):
+            perturbed[s] = perturbed[s] + 1 if perturbed[s] != INF else 0
+        for s in rng.sample(range(128), 8):
+            with_inf[s] = INF
+        tables += [h, HeightFunction(h.labels, n, tuple(perturbed)),
+                   HeightFunction(h.labels, n, tuple(with_inf))]
+    instances = []  # instances per violating relation
+    inf_terms = 0
+    for h in tables:
+        pairs = [(single_exchange_check(h), _ref_exchange(h))]
+        pairs += [(dressian_check(h, r), _ref_exchange(h, r)) for r in range(8)]
+        for got, want in pairs:
+            assert got == want, h
+            instances += Counter(map(_exchange_class, want.violations)).values()
+            inf_terms += sum(INF in v.terms for v in want.violations)
+    # realized heights pass; the rest violate, with relations of three or
+    # more instances (so term order and instance order both show) and INF terms
+    assert all(single_exchange_check(h).ok for h in tables[::3])
+    assert max(instances) >= 3 and len(instances) > 10 and inf_terms, (instances, inf_terms)
