@@ -305,6 +305,17 @@ def d_i(m: DMod, i: int) -> int:
     return m.rank + sum(1 for e in m.exps if e >= i)
 
 
+def d_seq(m: DMod, n: int) -> list[int]:
+    """The d-sequence d_1, ..., d_n of m, in one pass over the exponents."""
+    out = []
+    k = len(m.exps)
+    for i in range(1, n + 1):
+        while k and m.exps[k - 1] < i:
+            k -= 1
+        out.append(m.rank + k)
+    return out
+
+
 def d_leq(m: DMod, n):
     """Partial sum d_1 + ... + d_n; INF allowed (total length, or INF if free part)."""
     if n is INF or (isinstance(n, float) and math.isinf(n)):

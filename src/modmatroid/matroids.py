@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
 
 from .abgroups import (
     DMod,
@@ -27,11 +29,12 @@ from .abgroups import (
 )
 from .intmat import Mat, shape
 from .surjections import (
-    SquareVerdict,
     check_m1,
     check_square,
+    exact_cap,
     m1_failure_dvr,
     square_failure_dvr,
+    square_screen,
 )
 
 MAX_GROUND = 16
@@ -189,68 +192,232 @@ def from_realization(r: Realization) -> ZMatroid:
     return ZMatroid(r.labels, tuple(table), verified=True)
 
 
-def _scan(labels, table, m1_check, square_check) -> Verdict:
-    """Shared axiom scan; deterministic first-violation order.
+def _walk(labels, code, entries, lo, hi, pairs, squares, m1_check, square_check):
+    """The axiom in scan order over the subsets lo <= A < hi.
 
     Subsets ascend by bitmask; within a subset, pairs (b, c) ascend by
     label position with b <= c.  The b = c diagonal is the single-element
     check.  Swapping b and c gives the same square, so scanning ordered
-    pairs would locate the same first failure.
-
-    The table's distinct entries are numbered once, and each distinct
-    pair and quadruple of numbers is decided once per call.
+    pairs would locate the same first failure.  ``code`` numbers the
+    table's entries; ``entries`` maps numbers back.  Keys (tuples of
+    numbers) in ``pairs`` and ``squares`` are known to pass; any other
+    key is decided by the checks and added when it passes.  Returns the
+    first violation, or None.
     """
     e = len(labels)
-    ids: dict = {}
-    code = [ids.setdefault(g, len(ids)) for g in table]
-    entries = list(ids)
-    k = len(entries)
-    pairs: dict[int, SquareVerdict] = {}
-    squares: dict[int, SquareVerdict] = {}
-    for mask in subsets(e):
+    for mask in range(lo, hi):
         a = code[mask]
         outside = [i for i in range(e) if not mask >> i & 1]
         above = [code[mask | 1 << i] for i in outside]
         for x, bi in enumerate(outside):
             b = above[x]
-            key = a * k + b
-            vb = pairs.get(key)
-            if vb is None:
-                vb = pairs[key] = m1_check(entries[a], entries[b])
-            if not vb.ok:
-                return Verdict(
-                    False,
-                    Violation(mask, labels[bi], labels[bi], vb.kind, vb.prime, vb.index),
-                )
-            base = key * k
+            if (a, b) not in pairs:
+                v = m1_check(entries[a], entries[b])
+                if not v.ok:
+                    return Violation(mask, labels[bi], labels[bi], v.kind, v.prime, v.index)
+                pairs.add((a, b))
             bmask = mask | 1 << bi
             for y in range(x + 1, len(outside)):
                 ci = outside[y]
-                c = above[y]
-                bc = code[bmask | 1 << ci]
-                key = ((base + c) * k) + bc
-                vs = squares.get(key)
-                if vs is None:
-                    vs = squares[key] = square_check(
-                        entries[a], entries[b], entries[c], entries[bc]
-                    )
-                if not vs.ok:
-                    return Verdict(
-                        False,
-                        Violation(
-                            mask, labels[bi], labels[ci], vs.kind, vs.prime, vs.index
-                        ),
-                    )
+                key = (a, b, above[y], code[bmask | 1 << ci])
+                if key not in squares:
+                    v = square_check(*(entries[n] for n in key))
+                    if not v.ok:
+                        return Violation(mask, labels[bi], labels[ci], v.kind, v.prime, v.index)
+                    squares.add(key)
+    return None
+
+
+class _Memo:
+    """What the certifier keeps between calls, under integer names.
+
+    Groups are numbered in order of first sight, with their support
+    primes; the pair and square keys (tuples of group numbers) certified
+    to pass are kept.  Local modules are numbered too: ``local[p]`` maps
+    a group number to the number of its localization at p, or at the
+    generic point (its free part) for p None.  Stage 1-2 decisions are
+    kept per local pair and per (cap, local quadruple).  Tables that
+    share entries (a table and edited copies of it, say) share the
+    work.
+    """
+
+    def __init__(self):
+        self.ids: dict[tuple, int] = {}
+        self.groups: list[FgAbGroup] = []
+        self.primes: list[tuple[int, ...]] = []
+        self.pairs: set[tuple] = set()
+        self.squares: set[tuple] = set()
+        self.mod_ids: dict[DMod, int] = {}
+        self.mods: list[DMod] = []
+        self.local: dict[int | None, dict[int, int]] = {None: {}}
+        self.m1: dict[tuple, bool] = {}
+        self.square: dict[tuple, bool] = {}
+
+    def size(self) -> int:
+        return (len(self.groups) + len(self.pairs) + len(self.squares) + len(self.mods)
+                + len(self.m1) + len(self.square) + sum(map(len, self.local.values())))
+
+    def number(self, table) -> list[int]:
+        # keyed by (rank, factors): a tuple hashes and compares in C, a
+        # frozen dataclass through Python-level methods
+        ids = self.ids
+        keys = [(g.rank, g.factors) for g in table]
+        code = list(map(ids.get, keys))
+        if None in code:
+            for k, g in zip(keys, table):
+                if k not in ids:
+                    ids[k] = len(self.groups)
+                    self.groups.append(g)
+                    self.primes.append(support_primes(g))
+            code = list(map(ids.__getitem__, keys))
+        return code
+
+    def localized(self, p: int | None, gids) -> dict[int, int]:
+        of = self.local.setdefault(p, {})
+        generic = self.local[None]
+        for i in gids:
+            if i not in of:
+                g = self.groups[i]
+                if p is not None and p not in self.primes[i]:
+                    of[i] = generic[i]  # numbered at the generic point first
+                    continue
+                m = DMod(g.rank) if p is None else localize(g, p)
+                j = self.mod_ids.get(m)
+                if j is None:
+                    j = self.mod_ids[m] = len(self.mods)
+                    self.mods.append(m)
+                of[i] = j
+        return of
+
+    def screen(self, pairs: set[tuple], squares: set[tuple]) -> bool:
+        """Certify new keys at stages 1-2: at the generic point, and at
+        every prime of their entries (at any other prime a key's local
+        modules are its free parts, as at the generic point).  Returns
+        whether all of them passed."""
+        primes, mods = self.primes, self.mods
+        work = {None: (pairs, squares)}
+        for k in pairs:
+            for p in {*primes[k[0]], *primes[k[1]]}:
+                work.setdefault(p, ([], []))[0].append(k)
+        for k in squares:
+            for p in {*primes[k[0]], *primes[k[1]], *primes[k[2]], *primes[k[3]]}:
+                work.setdefault(p, ([], []))[1].append(k)
+        bad_pairs: set[tuple] = set()
+        bad_squares: set[tuple] = set()
+        for p, (ps, qs) in work.items():
+            of = self.localized(p, {i for k in ps for i in k}.union(*qs))
+            seen = self.m1
+            for k in ps:
+                key = of[k[0]], of[k[1]]
+                ok = seen.get(key)
+                if ok is None:
+                    ok = seen[key] = m1_failure_dvr(mods[key[0]], mods[key[1]]).ok
+                if not ok:
+                    bad_pairs.add(k)
+            seen = self.square
+            cap = exact_cap(p)
+            for k in qs:
+                key = cap, of[k[0]], of[k[1]], of[k[2]], of[k[3]]
+                ok = seen.get(key)
+                if ok is None:
+                    ok = seen[key] = square_screen(cap, *(mods[j] for j in key[1:]))
+                if not ok:
+                    bad_squares.add(k)
+        self.pairs.update(pairs - bad_pairs)
+        self.squares.update(squares - bad_squares)
+        return not (bad_pairs or bad_squares)
+
+
+# Bound on what the certifier keeps between calls (groups, keys, local
+# modules and decisions), as for the check_square cache; checked after
+# each call.
+_MEMO_BOUND = 1 << 18
+_memo = _Memo()
+
+
+@lru_cache(maxsize=1 << 10)  # t <= 11 and m has at most two bits: about 300 keys
+def _avoiding(t: int, m: int) -> bytes:
+    """Marks of the L < 2^t that share no bit with m."""
+    return bytes(not L & m for L in range(1 << t))
+
+
+def _block_keys(code, lo, t, e):
+    """The distinct pair and square keys of the subsets A = lo + L,
+    L < 2^t (lo a multiple of 2^t), gathered from slices of ``code``.
+
+    Slice entry L of the window at offset d is code[lo + d + L]; a pair
+    or square of labels with low bits m keeps the entries at the L
+    avoiding m.
+    """
+    size = 1 << t
+    windows: dict[int, list[int]] = {}
+
+    def window(d: int) -> list[int]:
+        w = windows.get(d)
+        if w is None:
+            w = windows[d] = code[lo + d:lo + d + size]
+        return w
+
+    free = [1 << i for i in range(e) if not lo >> i & 1]
+    low = size - 1
+    base = window(0)
+    pairs: set[tuple] = set()
+    squares: set[tuple] = set()
+    for x, b in enumerate(free):
+        above_b = window(b)
+        pairs.update(compress(zip(base, above_b), _avoiding(t, b & low)))
+        for c in free[x + 1:]:
+            squares.update(compress(zip(base, above_b, window(c), window(b | c)),
+                                    _avoiding(t, (b | c) & low)))
+    return pairs, squares
+
+
+def _scan(labels, table, memo: _Memo) -> Verdict:
+    """The axiom over the integers: a local-global certifier, then the
+    scan order to name the first failure.
+
+    The subsets A ascend in at most 32 blocks.  A block's distinct pair
+    and square keys that no earlier call certified are screened at the
+    generic point (free ranks) and at each prime of their entries, at
+    stages 1-2 of the local decision (sequence conditions and summand
+    supply).  A key that passes everywhere passes check_square, so a
+    block whose keys all pass needs no more.  Otherwise the block is
+    walked in scan order, and the keys not certified go to check_m1 and
+    check_square, which may still pass them through the witness search.
+    The walk stops at the first violation, which is therefore the same,
+    found by the same witness searches, as a walk over every key.
+    """
+    code = memo.number(table)
+    e = len(labels)
+    t = max(e - 5, min(e, 3))  # blocks of 2^t subsets, at most 32 of them
+    for lo in range(0, 1 << e, 1 << t):
+        pairs, squares = _block_keys(code, lo, t, e)
+        if memo.screen(pairs - memo.pairs, squares - memo.squares):
+            continue
+        v = _walk(labels, code, memo.groups, lo, lo + (1 << t), memo.pairs, memo.squares,
+                  check_m1, check_square)
+        if v is not None:
+            return Verdict(False, v)
     return Verdict(True)
 
 
 def is_matroid(m: ZMatroid) -> Verdict:
     """Check the axiom on every (A, b, c), including b = c."""
-    return _scan(m.labels, m.table, check_m1, check_square)
+    global _memo
+    try:
+        return _scan(m.labels, m.table, _memo)
+    finally:
+        if _memo.size() > _MEMO_BOUND:
+            _memo = _Memo()
 
 
 def is_matroid_dvr(m: DvrMatroid) -> Verdict:
-    return _scan(m.labels, m.table, m1_failure_dvr, square_failure_dvr)
+    """The sequence conditions alone, over the same scan order."""
+    ids: dict = {}
+    code = [ids.setdefault(d, len(ids)) for d in m.table]
+    v = _walk(m.labels, code, list(ids), 0, len(code), set(), set(),
+              m1_failure_dvr, square_failure_dvr)
+    return Verdict(v is None, v)
 
 
 def verify(m: ZMatroid) -> ZMatroid:

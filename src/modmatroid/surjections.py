@@ -53,12 +53,18 @@ summand, (Z+Z/2+Z/8, Z+Z/4, Z+Z/4, Z+Z/2), passes every sequence test
 yet has no witness pair, since a pair for it would project to one for
 the torsion parts.
 
-Over the integers the only global condition beyond the local ones is
-the 0/1 drop of free ranks (determinant comparisons of projective parts
-are vacuous here and are documented rather than coded).  All sequences
-are constant past 1 + (largest exponent), so the checks are finite:
-positions up to that bound, plus a stabilized tail where L(n) moves
-linearly with rank(N0)-rank(N1)-rank(N2)+rank(N12).
+Over the integers the free ranks carry conditions of their own, read
+at the generic point (after tensoring with the rationals): each edge
+drops the rank by 0 or 1, and the slope
+rank(N0) - rank(N1) - rank(N2) + rank(N12) is nonnegative, and zero
+when rank(N1) and rank(N2) differ.  The drops are checked first.  The
+sequence conditions at any prime imply the slope conditions, since L(n)
+moves linearly with the slope once every sequence is constant (past
+1 + the largest exponent, which also makes the checks finite).  When no
+prime divides a torsion order, the slope conditions are checked
+directly, as the sequence test of the free parts with prime None.
+Determinant comparisons of projective parts are vacuous over the
+integers and are documented rather than coded.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .abgroups import INF, DMod, FgAbGroup, cokernel, d_i, localize, support_primes
+from .abgroups import INF, DMod, FgAbGroup, cokernel, d_seq, localize, support_primes
 from .intmat import smith_normal_form, transpose
 
 # failure kinds, also used verbatim in diagnostics
@@ -114,26 +120,35 @@ def _nmax(*mods: DMod) -> int:
     return 1 + max((m.max_exp for m in mods), default=0)
 
 
+def _drop_failure(hi: list[int], lo: list[int]) -> int | None:
+    """First index i (from 1) where d_i drops by other than 0 or 1."""
+    for i, (a, b) in enumerate(zip(hi, lo), 1):
+        if a - b not in (0, 1):
+            return i
+    return None
+
+
 def m1_failure_dvr(src: DMod, dst: DMod) -> SquareVerdict:
     top = _nmax(src, dst)
-    for i in range(1, top + 1):
-        if d_i(src, i) - d_i(dst, i) not in (0, 1):
-            return SquareVerdict(False, M1_LOCAL, None, i)
-    return _OK
+    i = _drop_failure(d_seq(src, top), d_seq(dst, top))
+    return _OK if i is None else SquareVerdict(False, M1_LOCAL, None, i)
 
 
 def square_failure_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> SquareVerdict:
     top = _nmax(n0, n1, n2, n12)
-    for a, b in ((n0, n1), (n0, n2), (n1, n12), (n2, n12)):
-        f = m1_failure_dvr(a, b)
-        if not f.ok:
-            return f
+    # an edge's first bad drop lies within its own horizon: past it the
+    # drop is the constant rank drop
+    d0, d1, d2, d12 = (d_seq(m, top) for m in (n0, n1, n2, n12))
+    for hi, lo in ((d0, d1), (d0, d2), (d1, d12), (d2, d12)):
+        i = _drop_failure(hi, lo)
+        if i is not None:
+            return SquareVerdict(False, M1_LOCAL, None, i)
     acc = 0
     for n in range(1, top + 1):
-        acc += d_i(n0, n) - d_i(n1, n) - d_i(n2, n) + d_i(n12, n)
+        acc += d0[n - 1] - d1[n - 1] - d2[n - 1] + d12[n - 1]
         if acc < 0:
             return SquareVerdict(False, L2A, None, n)
-        if d_i(n1, n) != d_i(n2, n) and acc != 0:
+        if d1[n - 1] != d2[n - 1] and acc != 0:
             return SquareVerdict(False, L2B, None, n)
     # past ``top`` every d_n equals the rank, so L(n) moves linearly
     slope = n0.rank - n1.rank - n2.rank + n12.rank
@@ -146,7 +161,7 @@ def square_failure_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> SquareVerdict
 
 def _deltas(hi: DMod, lo: DMod, top: int) -> list[int]:
     """Entrywise d-sequence drop d_i(hi) - d_i(lo) for i = 1..top+1."""
-    return [d_i(hi, i) - d_i(lo, i) for i in range(1, top + 2)]
+    return [a - b for a, b in zip(d_seq(hi, top + 1), d_seq(lo, top + 1))]
 
 
 def _descents(delta: list[int]) -> set[int]:
@@ -369,6 +384,32 @@ def cyclic_surjection_exists(src: FgAbGroup, dst: FgAbGroup) -> bool:
     return check_m1(src, dst).ok
 
 
+def exact_cap(p: int | None) -> int:
+    """Largest exponent at which the stage-2/3 refinement applies at p;
+    0 at the generic point (p None), where every module is free."""
+    return 0 if p is None else _EXACT_CAPS.get(p, _EXACT_CAP_DEFAULT)
+
+
+def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list:
+    """Stage 2: the supply shortfalls of a torsion quadruple whose
+    exponents stay within ``cap``; empty otherwise, where stage 1 alone
+    decides."""
+    if n0.rank > 0 or max(m.max_exp for m in (n0, n1, n2, n12)) > cap:
+        return []
+    return _shortfalls(n0, n1, n2, n12, _nmax(n0, n1, n2, n12))
+
+
+def square_screen(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> bool:
+    """Stages 1 and 2 of the square test at a prime with ``exact_cap`` cap.
+
+    True means the square exists there.  False means the sequence test
+    fails or the summand supply falls short, so only the full decision
+    (``check_square``) can tell.  The answer depends on the prime only
+    through its cap.
+    """
+    return square_failure_dvr(n0, n1, n2, n12).ok and not _unsupplied(cap, n0, n1, n2, n12)
+
+
 @lru_cache(maxsize=_LOCAL_CACHE)
 def _square_local(
     p: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod
@@ -380,10 +421,7 @@ def _square_local(
     f = square_failure_dvr(n0, n1, n2, n12)
     if not f.ok:
         return SquareVerdict(False, f.kind, p, f.index)
-    cap = _EXACT_CAPS.get(p, _EXACT_CAP_DEFAULT)
-    if n0.rank > 0 or max(m.max_exp for m in (n0, n1, n2, n12)) > cap:
-        return _OK
-    short = _shortfalls(n0, n1, n2, n12, _nmax(n0, n1, n2, n12))
+    short = _unsupplied(exact_cap(p), n0, n1, n2, n12)
     if short and not _witness_search(n0, n1, n2, n12, p):
         return SquareVerdict(False, NO_PAIR, p, short[0][0])
     return _OK
@@ -399,12 +437,17 @@ def check_square(
     quadruples within the validated exponent range, when they pass but
     the summand supply audit at some prime comes up short, the answer
     comes from the verified witness search at that prime, and a miss is
-    reported as no-witness-pair at the blocked index.
+    reported as no-witness-pair at the blocked index.  When no prime
+    divides a torsion order, the slope conditions of the free ranks
+    decide, with prime None.
     """
     for a, b in ((n0, n1), (n0, n2), (n1, n12), (n2, n12)):
         if a.rank - b.rank not in (0, 1):
             return SquareVerdict(False, RANK_DROP)
-    for p in support_primes(n0, n1, n2, n12):
+    primes = support_primes(n0, n1, n2, n12)
+    if not primes:
+        return square_failure_dvr(*(DMod(g.rank) for g in (n0, n1, n2, n12)))
+    for p in primes:
         f = _square_local(p, *(localize(g, p) for g in (n0, n1, n2, n12)))
         if not f.ok:
             return f

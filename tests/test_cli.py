@@ -69,6 +69,16 @@ def test_check_accepts(run):
     assert code == 0 and out.strip() == "OK"
 
 
+def test_check_rejects_torsion_free_non_matroid(run):
+    # generic rank function (0, 0, 0, 1) is not submodular; no prime divides
+    # a torsion order, so the free ranks alone must decide
+    doc = {"ground_set": ["a", "b"], "modules": {
+        "": {"rank": 1, "torsion": []}, "a": {"rank": 1, "torsion": []},
+        "b": {"rank": 1, "torsion": []}, "a,b": {"rank": 0, "torsion": []}}}
+    code, out, _ = run(["check"], doc)
+    assert code == 1 and out == "violation A={} b=a c=b: L2a n=1\n"
+
+
 def test_check_internal_failure_exits_3(run, monkeypatch):
     code, doc, _ = run(["realize"], NO_WITNESS_REAL)
     assert code == 0
@@ -299,7 +309,8 @@ def test_parser_lists_every_subcommand():
         assert name in text
 
 
-# --- the exit-code contract of `check` on random and mutated documents ---
+# --- the exit-code contract of `check`, `qam`, `dual` and `essentialize` on
+# random and mutated documents ---
 # Integers stay small: a large semiprime torsion order still makes
 # factorize run for minutes, an open defect this test does not probe.
 
@@ -342,10 +353,11 @@ def _check_documents(draw):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_check_documents())
-def test_check_exit_code_contract(tmp_path, capsys, doc):
+@given(doc=_check_documents(), cmd=st.sampled_from(["check", "qam", "dual", "essentialize"]))
+def test_check_exit_code_contract(tmp_path, capsys, doc, cmd):
+    # qam, dual and essentialize reach the scan through verify
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code = main(["check", str(path)])
+    code = main([cmd, str(path)])
     capsys.readouterr()
     assert code in (0, 1, 2)

@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modmatroid.abgroups import DMod, FgAbGroup, TRIVIAL, canonicalize, cokernel
+from modmatroid import matroids, surjections
+from modmatroid.abgroups import DMod, FgAbGroup, TRIVIAL, canonicalize, cokernel, group_sum
 from modmatroid.matroids import (
     DvrMatroid,
     MatroidError,
@@ -323,7 +325,9 @@ def test_scan_matches_naive_reference(kind, where):
     rng = random.Random(f"scan/{kind}/{where}")
     third = ("early", "middle", "late").index(where)
     for trial in range(12):
-        real = random_realization(rng, max_dim=4, n_labels=rng.randint(3, 6))
+        # every fourth table has 8 labels, so the certifier runs many blocks
+        n_labels = 8 if trial % 4 == 3 else rng.randint(3, 6)
+        real = random_realization(rng, max_dim=4, n_labels=n_labels)
         if trial % 3 == 0:  # prime-power ambients reach the witness search
             n = len(real.relations)
             p = rng.choice((2, 3))
@@ -345,3 +349,108 @@ def test_scan_matches_naive_reference(kind, where):
             d = DvrMatroid(m.labels, tuple(loc))
             assert is_matroid_dvr(d) == naive_scan(d.labels, d.table, m1_failure_dvr,
                                                    square_failure_dvr)
+
+
+def is_rank_function(r: list[int], e: int) -> bool:
+    """Unit increments and submodularity (r[0] = 0 is given)."""
+    full = 1 << e
+    for s in range(full):
+        for i in range(e):
+            if not s >> i & 1 and r[s | 1 << i] - r[s] not in (0, 1):
+                return False
+    return all(r[s | t] + r[s & t] <= r[s] + r[t] for s in range(full) for t in range(full))
+
+
+def test_torsion_free_tables_are_matroid_rank_functions():
+    # with no torsion the axiom is exactly: r(S) = rank(empty) - rank(S) is
+    # a matroid rank function; every table of ranks 0..2 on 3 labels
+    accepted = 0
+    for ranks in itertools.product(range(3), repeat=8):
+        m = ZMatroid(("a", "b", "c"), tuple(FgAbGroup(k) for k in ranks))
+        ok = is_matroid(m).ok
+        assert ok == is_rank_function([ranks[0] - k for k in ranks], 3), ranks
+        accepted += ok
+    assert accepted == 24
+
+
+def two_part_table(v: tuple, u: tuple) -> ZMatroid:
+    """Labels a, b, c; entry S is V(S - a) + U(S - c) for 2-label tables V
+    on (b, c) and U on (a, b), each given as four groups."""
+    def entry(s: int) -> FgAbGroup:
+        vs = (s >> 1) & 3  # bits of b, c
+        us = s & 3  # bits of a, b
+        return group_sum(v[vs], u[us])
+    return ZMatroid(("a", "b", "c"), tuple(entry(s) for s in range(8)))
+
+
+def test_early_square_failing_only_at_3_is_named_before_a_later_one_at_2():
+    # the square (A={}, a, b) fails only at p = 3, the later (A={}, b, c)
+    # only at p = 2; a pass over all squares at p = 2 first would name b, c
+    g = lambda *fs: FgAbGroup(0, fs)  # noqa: E731
+    v = (g(8), g(2), g(2), g())  # fails L2a at p = 2
+    u = (g(27), g(3), g(3), g())  # the same shape at p = 3
+    m = two_part_table(v, u)
+    verdict = is_matroid(m)
+    assert verdict == naive_scan(m.labels, m.table, check_m1, check_square)
+    assert verdict.violation.describe(m.labels) == "A={} b=a c=b: L2a p=3 n=1"
+
+
+@pytest.mark.parametrize("quad,want", [
+    # p = 3 passes through the witness search, p = 5 fails the sequence test
+    (((3, 27), (9,), (9,), (3,)), "L2a p=5 n=1"),
+    # p = 2 finds no witness pair; p = 3 would fail the sequence test
+    (((2, 8), (4,), (4,), (2,)), "no-witness-pair p=2 n=2"),
+])
+def test_square_verdict_is_check_squares_across_primes(monkeypatch, quad, want):
+    larger = {"L2a p=5 n=1": (125, 5, 5, 1), "no-witness-pair p=2 n=2": (27, 3, 3, 1)}[want]
+    table = tuple(canonicalize(fs + (q,)) for fs, q in zip(quad, larger))
+    searched = []
+    search = surjections._witness_search
+    monkeypatch.setattr(surjections, "_witness_search",
+                        lambda *a: searched.append(a[-1]) or search(*a))
+    monkeypatch.setattr(matroids, "_memo", matroids._Memo())
+    surjections.check_square.cache_clear()
+    surjections._square_local.cache_clear()
+    verdict = is_matroid(ZMatroid(("1", "2"), table))
+    sq = check_square(*table)
+    assert not sq.ok and verdict.violation.describe(("1", "2")) == f"A={{}} b=1 c=2: {want}"
+    assert (verdict.violation.kind, verdict.violation.prime, verdict.violation.index) == (
+        sq.kind, sq.prime, sq.index)
+    assert searched == [min(searched)] and searched[0] in (2, 3)
+
+
+def test_first_failure_in_the_last_block():
+    # a realized 4-label table with one entry deepened: the first violation
+    # lies at A = {d}, in the upper half of the subsets, the last block
+    m = from_realization(Realization(("a", "b", "c", "d"), [[0], [3], [3]],
+                                     [[5, -5, 0, -6], [-3, -4, 6, -5], [5, 5, 5, 0]]))
+    table = list(m.table)
+    table[10] = changed(table[10], "deepen", 2)
+    z = ZMatroid(m.labels, tuple(table))
+    verdict = is_matroid(z)
+    assert verdict == naive_scan(z.labels, z.table, check_m1, check_square)
+    assert verdict.violation.describe(z.labels) == "A={d} b=b c=c: L2a p=2 n=1"
+
+
+def test_ok_table_whose_squares_reach_the_witness_search(monkeypatch):
+    found = []
+    search = surjections._witness_search
+    monkeypatch.setattr(surjections, "_witness_search",
+                        lambda *a: found.append(search(*a)) or found[-1])
+    monkeypatch.setattr(matroids, "_memo", matroids._Memo())
+    surjections.check_square.cache_clear()
+    surjections._square_local.cache_clear()
+    m = from_realization(Realization(
+        ("a", "b", "c", "d"), [[243, 0, 0], [0, 27, 0], [0, 0, 9]],
+        [[-15, 15, 13, -5], [17, -14, -16, -2], [-5, 20, 19, -11]]))
+    assert is_matroid(ZMatroid(m.labels, m.table)).ok
+    assert found and all(found)
+
+
+def test_certifier_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(matroids, "_memo", matroids._Memo())
+    monkeypatch.setattr(matroids, "_MEMO_BOUND", 50)
+    m = from_realization(random_realization(random.Random(7), max_dim=4, n_labels=5))
+    for _ in range(2):
+        assert is_matroid(ZMatroid(m.labels, m.table)).ok
+        assert matroids._memo.size() <= 50
