@@ -158,6 +158,16 @@ def test_residue_matroid_frozen():
     assert residue_matroid(m, 3) == {0: 0, 1: 0, 2: 0, 3: 0}
 
 
+def is_rank_function(r: list[int], e: int) -> bool:
+    """Unit increments and submodularity (r[0] = 0 is given)."""
+    full = 1 << e
+    for s in range(full):
+        for i in range(e):
+            if not s >> i & 1 and r[s | 1 << i] - r[s] not in (0, 1):
+                return False
+    return all(r[s | t] + r[s & t] <= r[s] + r[t] for s in range(full) for t in range(full))
+
+
 def test_classical_rank_axioms_exhaustive():
     # C1 (unit increments) and C2 (submodularity) for both rank readings
     m = from_realization(
@@ -170,15 +180,7 @@ def test_classical_rank_axioms_exhaustive():
         {s: residue_matroid(m, 3)[0] - residue_matroid(m, 3)[s] for s in range(full + 1)},
     ):
         assert rk_fun[0] == 0
-        for s in range(full + 1):
-            for i in range(4):
-                if s >> i & 1:
-                    continue
-                t = s | 1 << i
-                assert rk_fun[t] - rk_fun[s] in (0, 1)
-        for s in range(full + 1):
-            for t in range(full + 1):
-                assert rk_fun[s | t] + rk_fun[s & t] <= rk_fun[s] + rk_fun[t]
+        assert is_rank_function([rk_fun[s] for s in range(full + 1)], 4)
 
 
 def test_localize_and_tensor():
@@ -351,16 +353,6 @@ def test_scan_matches_naive_reference(kind, where):
                                                    square_failure_dvr)
 
 
-def is_rank_function(r: list[int], e: int) -> bool:
-    """Unit increments and submodularity (r[0] = 0 is given)."""
-    full = 1 << e
-    for s in range(full):
-        for i in range(e):
-            if not s >> i & 1 and r[s | 1 << i] - r[s] not in (0, 1):
-                return False
-    return all(r[s | t] + r[s & t] <= r[s] + r[t] for s in range(full) for t in range(full))
-
-
 def test_torsion_free_tables_are_matroid_rank_functions():
     # with no torsion the axiom is exactly: r(S) = rank(empty) - rank(S) is
     # a matroid rank function; every table of ranks 0..2 on 3 labels
@@ -395,15 +387,14 @@ def test_early_square_failing_only_at_3_is_named_before_a_later_one_at_2():
     assert verdict.violation.describe(m.labels) == "A={} b=a c=b: L2a p=3 n=1"
 
 
-@pytest.mark.parametrize("quad,want", [
+@pytest.mark.parametrize("smaller,larger,want", [
     # p = 3 passes through the witness search, p = 5 fails the sequence test
-    (((3, 27), (9,), (9,), (3,)), "L2a p=5 n=1"),
+    (((3, 27), (9,), (9,), (3,)), (125, 5, 5, 1), "L2a p=5 n=1"),
     # p = 2 finds no witness pair; p = 3 would fail the sequence test
-    (((2, 8), (4,), (4,), (2,)), "no-witness-pair p=2 n=2"),
+    (((2, 8), (4,), (4,), (2,)), (27, 3, 3, 1), "no-witness-pair p=2 n=2"),
 ])
-def test_square_verdict_is_check_squares_across_primes(monkeypatch, quad, want):
-    larger = {"L2a p=5 n=1": (125, 5, 5, 1), "no-witness-pair p=2 n=2": (27, 3, 3, 1)}[want]
-    table = tuple(canonicalize(fs + (q,)) for fs, q in zip(quad, larger))
+def test_square_verdict_is_check_squares_across_primes(monkeypatch, smaller, larger, want):
+    table = tuple(canonicalize(fs + (q,)) for fs, q in zip(smaller, larger))
     searched = []
     search = surjections._witness_search
     monkeypatch.setattr(surjections, "_witness_search",
