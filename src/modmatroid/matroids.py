@@ -406,6 +406,9 @@ def is_matroid(m: ZMatroid) -> Verdict:
     global _memo
     try:
         return _scan(m.labels, m.table, _memo)
+    except BaseException:  # an interrupted update may leave the memo inconsistent
+        _memo = _Memo()
+        raise
     finally:
         if _memo.size() > _MEMO_BOUND:
             _memo = _Memo()

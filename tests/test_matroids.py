@@ -445,3 +445,18 @@ def test_certifier_memo_is_bounded(monkeypatch):
     for _ in range(2):
         assert is_matroid(ZMatroid(m.labels, m.table)).ok
         assert matroids._memo.size() <= 50
+
+
+def test_certifier_memo_is_dropped_when_a_scan_raises(monkeypatch):
+    # an exception (an interrupt, say) can stop the memo's update halfway
+    monkeypatch.setattr(matroids, "_memo", matroids._Memo())
+    real = Realization(("a", "b", "c"), [[8, 0], [0, 9]], [[1, 2, 3], [1, 1, 2]])
+    m = from_realization(real)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(matroids, "localize", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        is_matroid(ZMatroid(m.labels, m.table))
+    assert matroids._memo.size() == 0
