@@ -7,6 +7,8 @@ and tropical exchange certificates on top.  Everything is exact integer
 arithmetic; there are no floating point paths except the INF sentinel.
 """
 
+from types import ModuleType as _ModuleType
+
 from .abgroups import (
     INF,
     DMod,
@@ -14,14 +16,11 @@ from .abgroups import (
     TRIVIAL,
     canonicalize,
     cokernel,
-    d_i,
     d_leq,
-    group_sum,
     localize,
     support_primes,
-    tensor_group,
 )
-from .duality import dual, dual_dvr, gale_dual
+from .duality import dual, gale_dual
 from .intmat import SnfResult, det, smith_normal_form
 from .matroids import (
     DvrMatroid,
@@ -32,18 +31,12 @@ from .matroids import (
     ZMatroid,
     contract,
     delete,
-    direct_sum,
     essentialize,
     from_realization,
-    generic_loops_coloops,
     generic_rank,
     is_matroid,
-    is_matroid_dvr,
     localize_matroid,
     matroid_support_primes,
-    relabel,
-    residue_matroid,
-    tensor_mod,
     verify,
 )
 from .oracle import pushout_oracle, quotient_by_element, surjection_oracle
@@ -69,5 +62,8 @@ from .tutte import (
     tutte_class,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the import block above is the export list; the relative imports also
+# bind the submodules themselves, which are not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

@@ -177,17 +177,6 @@ def canonicalize(orders: Iterable[int], rank: int = 0) -> FgAbGroup:
     return FgAbGroup(r, tuple(chain))
 
 
-def group_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
-    return canonicalize(a.factors + b.factors, a.rank + b.rank)
-
-
-def tensor_group(g: FgAbGroup, k: int) -> FgAbGroup:
-    """g tensored with Z/k: free summands become Z/k, Z/n becomes Z/gcd(n, k)."""
-    if k < 2:
-        raise ValueError("modulus must be at least 2")
-    return canonicalize([math.gcd(n, k) for n in g.factors] + [k] * g.rank)
-
-
 def cokernel(relations: Mat) -> FgAbGroup:
     """Quotient of Z^n by the column span of an n-row relation matrix."""
     rows, _ = shape(relations)
@@ -298,11 +287,6 @@ class DMod:
 def localize(g: FgAbGroup, p: int) -> DMod:
     lam = sorted((v for v in (pval(n, p) for n in g.factors) if v), reverse=True)
     return DMod(g.rank, tuple(lam))
-
-
-def d_i(m: DMod, i: int) -> int:
-    """Minimal generator count of m/p^i m, for finite i >= 1."""
-    return m.rank + sum(1 for e in m.exps if e >= i)
 
 
 def d_seq(m: DMod, n: int) -> list[int]:

@@ -13,7 +13,7 @@ of standard basis vectors sitting over the old generators.
 
 from __future__ import annotations
 
-from .abgroups import DMod, FgAbGroup
+from .abgroups import FgAbGroup
 from .intmat import (
     Mat,
     hstack,
@@ -22,7 +22,7 @@ from .intmat import (
     smith_normal_form,
     transpose,
 )
-from .matroids import DvrMatroid, Realization, ZMatroid, popcount, subsets, verify
+from .matroids import Realization, ZMatroid, popcount, subsets, verify
 
 
 def dual(m: ZMatroid) -> ZMatroid:
@@ -35,16 +35,6 @@ def dual(m: ZMatroid) -> ZMatroid:
         g = m.table[a]
         out[full ^ a] = FgAbGroup(g.rank + popcount(a) - r0, g.factors)
     return ZMatroid(m.labels, tuple(out), verified=True)
-
-
-def dual_dvr(m: DvrMatroid) -> DvrMatroid:
-    r0 = m.table[0].rank
-    full = m.full
-    out: list[DMod | None] = [None] * len(m.table)
-    for a in subsets(len(m.labels)):
-        g = m.table[a]
-        out[full ^ a] = DMod(g.rank + popcount(a) - r0, g.exps)
-    return DvrMatroid(m.labels, tuple(out), verified=m.verified)
 
 
 def _independent_relations(relations: Mat) -> Mat:

@@ -19,13 +19,10 @@ from itertools import compress
 from .abgroups import (
     DMod,
     FgAbGroup,
-    canonicalize,
     cokernel,  # not called here; perfbench/spans.py traces calls through this name
-    group_sum,
     localize,
     subset_cokernels,
     support_primes,
-    tensor_group,
 )
 from .intmat import Mat, shape
 from .surjections import (
@@ -33,7 +30,6 @@ from .surjections import (
     check_square,
     exact_cap,
     m1_failure_dvr,
-    square_failure_dvr,
     square_screen,
 )
 
@@ -101,7 +97,6 @@ class DvrMatroid:
 
     labels: tuple[str, ...]
     table: tuple[DMod, ...]
-    verified: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         _check_ground(self.labels)
@@ -192,7 +187,7 @@ def from_realization(r: Realization) -> ZMatroid:
     return ZMatroid(r.labels, tuple(table), verified=True)
 
 
-def _walk(labels, code, entries, lo, hi, pairs, squares, m1_check, square_check):
+def _walk(labels, code, entries, lo, hi, pairs, squares):
     """The axiom in scan order over the subsets lo <= A < hi.
 
     Subsets ascend by bitmask; within a subset, pairs (b, c) ascend by
@@ -201,8 +196,8 @@ def _walk(labels, code, entries, lo, hi, pairs, squares, m1_check, square_check)
     pairs would locate the same first failure.  ``code`` numbers the
     table's entries; ``entries`` maps numbers back.  Keys (tuples of
     numbers) in ``pairs`` and ``squares`` are known to pass; any other
-    key is decided by the checks and added when it passes.  Returns the
-    first violation, or None.
+    key is decided by check_m1 or check_square and added when it passes.
+    Returns the first violation, or None.
     """
     e = len(labels)
     for mask in range(lo, hi):
@@ -212,7 +207,7 @@ def _walk(labels, code, entries, lo, hi, pairs, squares, m1_check, square_check)
         for x, bi in enumerate(outside):
             b = above[x]
             if (a, b) not in pairs:
-                v = m1_check(entries[a], entries[b])
+                v = check_m1(entries[a], entries[b])
                 if not v.ok:
                     return Violation(mask, labels[bi], labels[bi], v.kind, v.prime, v.index)
                 pairs.add((a, b))
@@ -221,7 +216,7 @@ def _walk(labels, code, entries, lo, hi, pairs, squares, m1_check, square_check)
                 ci = outside[y]
                 key = (a, b, above[y], code[bmask | 1 << ci])
                 if key not in squares:
-                    v = square_check(*(entries[n] for n in key))
+                    v = check_square(*(entries[n] for n in key))
                     if not v.ok:
                         return Violation(mask, labels[bi], labels[ci], v.kind, v.prime, v.index)
                     squares.add(key)
@@ -394,8 +389,7 @@ def _scan(labels, table, memo: _Memo) -> Verdict:
         pairs, squares = _block_keys(code, lo, t, e)
         if memo.screen(pairs - memo.pairs, squares - memo.squares):
             continue
-        v = _walk(labels, code, memo.groups, lo, lo + (1 << t), memo.pairs, memo.squares,
-                  check_m1, check_square)
+        v = _walk(labels, code, memo.groups, lo, lo + (1 << t), memo.pairs, memo.squares)
         if v is not None:
             return Verdict(False, v)
     return Verdict(True)
@@ -412,15 +406,6 @@ def is_matroid(m: ZMatroid) -> Verdict:
     finally:
         if _memo.size() > _MEMO_BOUND:
             _memo = _Memo()
-
-
-def is_matroid_dvr(m: DvrMatroid) -> Verdict:
-    """The sequence conditions alone, over the same scan order."""
-    ids: dict = {}
-    code = [ids.setdefault(d, len(ids)) for d in m.table]
-    v = _walk(m.labels, code, list(ids), 0, len(code), set(), set(),
-              m1_failure_dvr, square_failure_dvr)
-    return Verdict(v is None, v)
 
 
 def verify(m: ZMatroid) -> ZMatroid:
@@ -457,23 +442,6 @@ def contract(m: ZMatroid, a: str) -> ZMatroid:
     return ZMatroid(labels, table, verified=m.verified)
 
 
-def direct_sum(m: ZMatroid, m2: ZMatroid) -> ZMatroid:
-    if set(m.labels) & set(m2.labels):
-        raise ValueError("ground sets overlap; relabel one summand first")
-    labels = m.labels + m2.labels
-    e1 = len(m.labels)
-    table = tuple(
-        group_sum(m.table[s & ((1 << e1) - 1)], m2.table[s >> e1])
-        for s in subsets(len(labels))
-    )
-    return ZMatroid(labels, table, verified=m.verified and m2.verified)
-
-
-def relabel(m: ZMatroid, mapping: dict[str, str]) -> ZMatroid:
-    labels = tuple(mapping.get(a, a) for a in m.labels)
-    return ZMatroid(labels, m.table, verified=m.verified)
-
-
 def essentialize(m: ZMatroid) -> tuple[ZMatroid, int]:
     """Strip the free summand shared by the whole table.
 
@@ -497,38 +465,10 @@ def generic_rank(m: ZMatroid) -> dict[int, int]:
     return {s: r0 - m.table[s].rank for s in subsets(len(m.labels))}
 
 
-def residue_matroid(m: ZMatroid, p: int) -> dict[int, int]:
-    """Corank function mod p: minimal generator count of each entry at p."""
-    out = {}
-    for s in subsets(len(m.labels)):
-        loc = localize(m.table[s], p)
-        out[s] = loc.rank + len(loc.exps)
-    return out
-
-
 def localize_matroid(m: ZMatroid, p: int) -> DvrMatroid:
     table = tuple(localize(g, p) for g in m.table)
-    return DvrMatroid(m.labels, table, verified=m.verified)
-
-
-def tensor_mod(m: ZMatroid, k: int) -> dict[int, FgAbGroup]:
-    """Entrywise reduction mod k; all values become finite."""
-    return {s: tensor_group(m.table[s], k) for s in subsets(len(m.labels))}
+    return DvrMatroid(m.labels, table)
 
 
 def matroid_support_primes(m: ZMatroid) -> tuple[int, ...]:
     return support_primes(*m.table)
-
-
-def generic_loops_coloops(m: ZMatroid) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    r0 = m.table[0].rank
-    full = m.full
-    loops = tuple(
-        a for i, a in enumerate(m.labels) if m.table[1 << i].rank == r0
-    )
-    coloops = tuple(
-        a
-        for i, a in enumerate(m.labels)
-        if m.table[full & ~(1 << i)].rank > m.table[full].rank
-    )
-    return loops, coloops

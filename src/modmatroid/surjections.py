@@ -357,24 +357,13 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     return False
 
 
-# Bound of the per-prime decision caches below.  Their keys are localized
-# entries, which repeat across tables and primes far more than the
-# groups do.
-_LOCAL_CACHE = 1 << 14
-
-
-@lru_cache(maxsize=_LOCAL_CACHE)
-def _m1_local(src: DMod, dst: DMod) -> SquareVerdict:
-    return m1_failure_dvr(src, dst)
-
-
 @lru_cache(maxsize=1 << 18)
 def check_m1(src: FgAbGroup, dst: FgAbGroup) -> SquareVerdict:
     """Does a surjection src -> dst with cyclic kernel exist over the integers?"""
     if src.rank - dst.rank not in (0, 1):
         return SquareVerdict(False, RANK_DROP)
     for p in support_primes(src, dst):
-        f = _m1_local(localize(src, p), localize(dst, p))
+        f = m1_failure_dvr(localize(src, p), localize(dst, p))
         if not f.ok:
             return SquareVerdict(False, M1_LOCAL, p, f.index)
     return _OK
@@ -410,23 +399,6 @@ def square_screen(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> bool:
     return square_failure_dvr(n0, n1, n2, n12).ok and not _unsupplied(cap, n0, n1, n2, n12)
 
 
-@lru_cache(maxsize=_LOCAL_CACHE)
-def _square_local(
-    p: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod
-) -> SquareVerdict:
-    """The square test at one prime, over the localized quadruple.
-
-    A witness search that raises is not cached and propagates.
-    """
-    f = square_failure_dvr(n0, n1, n2, n12)
-    if not f.ok:
-        return SquareVerdict(False, f.kind, p, f.index)
-    short = _unsupplied(exact_cap(p), n0, n1, n2, n12)
-    if short and not _witness_search(n0, n1, n2, n12, p):
-        return SquareVerdict(False, NO_PAIR, p, short[0][0])
-    return _OK
-
-
 @lru_cache(maxsize=1 << 18)
 def check_square(
     n0: FgAbGroup, n1: FgAbGroup, n2: FgAbGroup, n12: FgAbGroup
@@ -439,7 +411,8 @@ def check_square(
     comes from the verified witness search at that prime, and a miss is
     reported as no-witness-pair at the blocked index.  When no prime
     divides a torsion order, the slope conditions of the free ranks
-    decide, with prime None.
+    decide, with prime None.  A witness search that raises is not cached
+    and propagates.
     """
     for a, b in ((n0, n1), (n0, n2), (n1, n12), (n2, n12)):
         if a.rank - b.rank not in (0, 1):
@@ -448,9 +421,13 @@ def check_square(
     if not primes:
         return square_failure_dvr(*(DMod(g.rank) for g in (n0, n1, n2, n12)))
     for p in primes:
-        f = _square_local(p, *(localize(g, p) for g in (n0, n1, n2, n12)))
+        local = [localize(g, p) for g in (n0, n1, n2, n12)]
+        f = square_failure_dvr(*local)
         if not f.ok:
-            return f
+            return SquareVerdict(False, f.kind, p, f.index)
+        short = _unsupplied(exact_cap(p), *local)
+        if short and not _witness_search(*local, p):
+            return SquareVerdict(False, NO_PAIR, p, short[0][0])
     return _OK
 
 

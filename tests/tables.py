@@ -1,0 +1,64 @@
+"""Table constructions that only the tests use, to state the paper's
+statements: direct sums (sums are matroids, the Tutte class is
+multiplicative), generic loops and coloops (deletion-contraction), the
+dual of a localized table (localization commutes with duality) and the
+residue corank functions (they are matroid rank functions and dualize
+classically)."""
+
+from modmatroid.abgroups import DMod, FgAbGroup, canonicalize, localize
+from modmatroid.matroids import DvrMatroid, ZMatroid, popcount, subsets
+
+
+def group_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
+    return canonicalize(a.factors + b.factors, a.rank + b.rank)
+
+
+def direct_sum(m: ZMatroid, m2: ZMatroid) -> ZMatroid:
+    if set(m.labels) & set(m2.labels):
+        raise ValueError("ground sets overlap; relabel one summand first")
+    labels = m.labels + m2.labels
+    e1 = len(m.labels)
+    table = tuple(
+        group_sum(m.table[s & ((1 << e1) - 1)], m2.table[s >> e1])
+        for s in subsets(len(labels))
+    )
+    return ZMatroid(labels, table, verified=m.verified and m2.verified)
+
+
+def relabel(m: ZMatroid, mapping: dict[str, str]) -> ZMatroid:
+    labels = tuple(mapping.get(a, a) for a in m.labels)
+    return ZMatroid(labels, m.table, verified=m.verified)
+
+
+def generic_loops_coloops(m: ZMatroid) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    r0 = m.table[0].rank
+    full = m.full
+    loops = tuple(
+        a for i, a in enumerate(m.labels) if m.table[1 << i].rank == r0
+    )
+    coloops = tuple(
+        a
+        for i, a in enumerate(m.labels)
+        if m.table[full & ~(1 << i)].rank > m.table[full].rank
+    )
+    return loops, coloops
+
+
+def dual_dvr(m: DvrMatroid) -> DvrMatroid:
+    """The dual table of a localized table, entry by entry as ``dual``."""
+    r0 = m.table[0].rank
+    full = m.full
+    out: list[DMod | None] = [None] * len(m.table)
+    for a in subsets(len(m.labels)):
+        g = m.table[a]
+        out[full ^ a] = DMod(g.rank + popcount(a) - r0, g.exps)
+    return DvrMatroid(m.labels, tuple(out))
+
+
+def residue_matroid(m: ZMatroid, p: int) -> dict[int, int]:
+    """Corank function mod p: minimal generator count of each entry at p."""
+    out = {}
+    for s in subsets(len(m.labels)):
+        loc = localize(m.table[s], p)
+        out[s] = loc.rank + len(loc.exps)
+    return out

@@ -11,15 +11,14 @@ from modmatroid.abgroups import (
     FgAbGroup,
     canonicalize,
     cokernel,
-    d_i,
     d_leq,
+    d_seq,
     factorize,
-    group_sum,
     localize,
     pval,
     support_primes,
-    tensor_group,
 )
+from tables import group_sum
 
 
 def test_group_construction_rules():
@@ -62,14 +61,10 @@ def test_canonicalize_idempotent_and_order_free(orders, rank):
     assert g.rank == rank + sum(1 for o in orders if o == 0)
 
 
-def test_group_sum_and_tensor():
+def test_group_sum():
     a = FgAbGroup(1, (2,))
     b = FgAbGroup(0, (6,))
     assert group_sum(a, b) == FgAbGroup(1, (2, 6))
-    assert tensor_group(FgAbGroup(1, (12,)), 8) == canonicalize([8, 4])
-    assert tensor_group(TRIVIAL, 5) == TRIVIAL
-    with pytest.raises(ValueError):
-        tensor_group(a, 1)
 
 
 def test_cokernel_frozen():
@@ -105,13 +100,21 @@ def test_dmod_rules():
 
 
 def test_d_arithmetic():
-    assert d_i(DMod(0, (3,)), 1) == 1
-    assert d_i(DMod(0, (3,)), 4) == 0
-    assert d_i(DMod(2, (3, 1)), 1) == 4
+    assert d_seq(DMod(0, (3,)), 4) == [1, 1, 1, 0]
+    assert d_seq(DMod(2, (3, 1)), 4) == [4, 3, 3, 2]
+    assert d_seq(DMod(1, ()), 0) == []
     assert d_leq(DMod(0, (3,)), 2) == 2
     assert d_leq(DMod(1, ()), 3) == 3
     assert d_leq(DMod(0, (2, 1)), INF) == 3
     assert d_leq(DMod(1, (2,)), INF) == INF
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(1, 6), max_size=5))
+def test_d_seq_counts_deep_summands(rank, exps):
+    m = DMod(rank, tuple(sorted(exps, reverse=True)))
+    for n in range(m.max_exp + 3):
+        assert d_seq(m, n) == [m.rank + sum(e >= i for e in m.exps) for i in range(1, n + 1)]
 
 
 def test_support_primes():

@@ -19,7 +19,7 @@ import pytest
 
 from modmatroid.abgroups import INF, FgAbGroup, TRIVIAL
 from modmatroid.cli import main
-from modmatroid.duality import dual, dual_dvr, gale_dual
+from modmatroid.duality import dual, gale_dual
 from modmatroid.intmat import matmul, shape, smith_normal_form, det, is_unimodular
 from modmatroid.jsonio import dumps
 from modmatroid.matroids import (
@@ -27,16 +27,13 @@ from modmatroid.matroids import (
     ZMatroid,
     contract,
     delete,
-    direct_sum,
     essentialize,
     from_realization,
-    generic_loops_coloops,
     generic_rank,
     is_matroid,
     localize_matroid,
     matroid_support_primes,
     random_realization,
-    relabel,
 )
 from modmatroid.oracle import abelian_p_groups, pair_quotient_map, pushout_oracle, surjection_oracle
 from modmatroid.qam import check_axioms, to_qam
@@ -56,6 +53,7 @@ from modmatroid.tutte import (
     quasi_tutte_eval,
     tutte_class,
 )
+from tables import direct_sum, dual_dvr, generic_loops_coloops, relabel
 
 _T0 = time.monotonic()
 

@@ -87,7 +87,6 @@ def test_check_internal_failure_exits_3(run, monkeypatch):
     # with no search budget the same decision raises instead
     monkeypatch.setattr(surjections, "_SEARCH_GUARD", 0)
     surjections.check_square.cache_clear()
-    surjections._square_local.cache_clear()
     code, out, err = run(["check"], json.loads(doc))
     assert code == 3 and out == ""
     assert err == ("error: witness search budget exceeded; exponents too large"

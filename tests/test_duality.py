@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modmatroid.abgroups import DMod, FgAbGroup, TRIVIAL
-from modmatroid.duality import dual, dual_dvr, gale_dual
+from modmatroid.duality import dual, gale_dual
 from modmatroid.matroids import (
     MatroidError,
     Realization,
@@ -18,9 +18,9 @@ from modmatroid.matroids import (
     localize_matroid,
     matroid_support_primes,
     random_realization,
-    residue_matroid,
     verify,
 )
+from tables import dual_dvr, residue_matroid
 
 GOOD = Realization(("1", "2"), [[4, 0], [0, 2]], [[1, 1], [0, 1]])
 
@@ -55,8 +55,7 @@ def test_dual_requires_a_matroid():
 
 
 def test_dual_dvr_frozen():
-    loc = localize_matroid(from_realization(GOOD), 2)
-    d = dual_dvr(loc)
+    d = localize_matroid(dual(from_realization(GOOD)), 2)
     assert d.table == (DMod(2, ()), DMod(1, (1,)), DMod(1, (1,)), DMod(0, (2, 1)))
 
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modmatroid import matroids, surjections
-from modmatroid.abgroups import DMod, FgAbGroup, TRIVIAL, canonicalize, cokernel, group_sum
+from modmatroid.abgroups import DMod, FgAbGroup, TRIVIAL, canonicalize, cokernel
 from modmatroid.matroids import (
-    DvrMatroid,
     MatroidError,
     Realization,
     Verdict,
@@ -16,22 +15,16 @@ from modmatroid.matroids import (
     ZMatroid,
     contract,
     delete,
-    direct_sum,
     essentialize,
     from_realization,
-    generic_loops_coloops,
     generic_rank,
     is_matroid,
-    is_matroid_dvr,
     labels_of,
     localize_matroid,
     mask_of,
     matroid_support_primes,
     random_realization,
-    relabel,
-    residue_matroid,
     subset_key,
-    tensor_mod,
     verify,
 )
 from modmatroid.surjections import (
@@ -41,6 +34,7 @@ from modmatroid.surjections import (
     m1_failure_dvr,
     square_failure_dvr,
 )
+from tables import direct_sum, generic_loops_coloops, group_sum, relabel, residue_matroid
 
 GOOD = Realization(("1", "2"), [[4, 0], [0, 2]], [[1, 1], [0, 1]])
 BAD_TABLE = (
@@ -183,7 +177,7 @@ def test_classical_rank_axioms_exhaustive():
         assert is_rank_function([rk_fun[s] for s in range(full + 1)], 4)
 
 
-def test_localize_and_tensor():
+def test_localize_matroid():
     m = from_realization(GOOD)
     loc = localize_matroid(m, 2)
     assert [(d.rank, d.exps) for d in loc.table] == [
@@ -192,17 +186,15 @@ def test_localize_and_tensor():
         (0, (1,)),
         (0, ()),
     ]
-    assert is_matroid_dvr(loc).ok
+    assert naive_scan(loc.labels, loc.table, m1_failure_dvr, square_failure_dvr).ok
     loc5 = localize_matroid(m, 5)
     assert all(d == DMod(0, ()) for d in loc5.table)
-    t2 = tensor_mod(m, 2)
-    assert [str(t2[s]) for s in range(4)] == ["Z/2 + Z/2", "Z/2", "Z/2", "0"]
     assert matroid_support_primes(m) == (2,)
 
 
 def test_dvr_table_rejection():
     t = (DMod(0, (3,)), DMod(0, (1,)), DMod(0, (1,)), DMod(0, ()))
-    v = is_matroid_dvr(DvrMatroid(("1", "2"), t))
+    v = naive_scan(("1", "2"), t, m1_failure_dvr, square_failure_dvr)
     assert not v.ok and v.violation.kind == L2A and v.violation.index == 1
 
 
@@ -222,7 +214,8 @@ def test_realizations_always_satisfy_the_axiom(seed):
     m = from_realization(real)
     assert is_matroid(m).ok
     for p in matroid_support_primes(m):
-        assert is_matroid_dvr(localize_matroid(m, p)).ok
+        loc = localize_matroid(m, p)
+        assert naive_scan(loc.labels, loc.table, m1_failure_dvr, square_failure_dvr).ok
 
 
 @settings(max_examples=25, deadline=None)
@@ -307,13 +300,6 @@ def naive_scan(labels, table, m1_check, square_check) -> Verdict:
 
 def changed(g, kind: str, q: int):
     """One entry made wrong: more rank, an extra summand, or a deeper one."""
-    if isinstance(g, DMod):
-        exps = g.exps
-        if kind == "torsion":
-            exps = tuple(sorted(exps + (1,), reverse=True))
-        elif kind == "deepen":
-            exps = (exps[0] + 1,) + exps[1:] if exps else (1,)
-        return DMod(g.rank + (kind == "rank"), exps)
     if kind == "rank":
         return FgAbGroup(g.rank + 1, g.factors)
     if kind == "deepen" and g.factors:
@@ -345,12 +331,6 @@ def test_scan_matches_naive_reference(kind, where):
         z = ZMatroid(m.labels, tuple(table))
         want = naive_scan(z.labels, z.table, check_m1, check_square)
         assert is_matroid(z) == want
-        for p in matroid_support_primes(m) or (2,):
-            loc = list(localize_matroid(m, p).table)
-            loc[mask] = changed(loc[mask], kind, q)
-            d = DvrMatroid(m.labels, tuple(loc))
-            assert is_matroid_dvr(d) == naive_scan(d.labels, d.table, m1_failure_dvr,
-                                                   square_failure_dvr)
 
 
 def test_torsion_free_tables_are_matroid_rank_functions():
@@ -401,7 +381,6 @@ def test_square_verdict_is_check_squares_across_primes(monkeypatch, smaller, lar
                         lambda *a: searched.append(a[-1]) or search(*a))
     monkeypatch.setattr(matroids, "_memo", matroids._Memo())
     surjections.check_square.cache_clear()
-    surjections._square_local.cache_clear()
     verdict = is_matroid(ZMatroid(("1", "2"), table))
     sq = check_square(*table)
     assert not sq.ok and verdict.violation.describe(("1", "2")) == f"A={{}} b=1 c=2: {want}"
@@ -430,7 +409,6 @@ def test_ok_table_whose_squares_reach_the_witness_search(monkeypatch):
                         lambda *a: found.append(search(*a)) or found[-1])
     monkeypatch.setattr(matroids, "_memo", matroids._Memo())
     surjections.check_square.cache_clear()
-    surjections._square_local.cache_clear()
     m = from_realization(Realization(
         ("a", "b", "c", "d"), [[243, 0, 0], [0, 27, 0], [0, 0, 9]],
         [[-15, 15, 13, -5], [17, -14, -16, -2], [-5, 20, 19, -11]]))

@@ -10,13 +10,12 @@ from modmatroid.matroids import (
     MatroidError,
     Realization,
     ZMatroid,
-    direct_sum,
     from_realization,
     random_realization,
-    relabel,
 )
 from modmatroid.abgroups import FgAbGroup, TRIVIAL
 from modmatroid.qam import QamData, check_axioms, to_qam
+from tables import direct_sum, relabel
 
 GOOD = Realization(("1", "2"), [[4, 0], [0, 2]], [[1, 1], [0, 1]])
 

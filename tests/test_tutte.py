@@ -11,13 +11,10 @@ from modmatroid.matroids import (
     ZMatroid,
     contract,
     delete,
-    direct_sum,
     essentialize,
     from_realization,
-    generic_loops_coloops,
     generic_rank,
     random_realization,
-    relabel,
 )
 from modmatroid.tutte import (
     arithmetic_tutte,
@@ -27,6 +24,7 @@ from modmatroid.tutte import (
     quasi_tutte_eval,
     tutte_class,
 )
+from tables import direct_sum, generic_loops_coloops, relabel
 
 GOOD = Realization(("1", "2"), [[4, 0], [0, 2]], [[1, 1], [0, 1]])
 U12 = Realization(("a", "b"), [[]], [[1, 1]])
