@@ -33,7 +33,6 @@ from .matroids import (
     from_realization,
     is_matroid,
     localize_matroid,
-    matroid_support_primes,
     subset_key,
     subsets,
     verify,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .abgroups import FgAbGroup, canonicalize
+from .abgroups import canonicalize
 from .duality import dual
 from .matroids import ZMatroid, popcount, subsets, verify
 
@@ -118,26 +118,17 @@ def arithmetic_tutte(t: TutteClass) -> Poly2:
 
 
 def quasi_tutte_eval(m: ZMatroid, x: int, y: int) -> int:
-    """Integer-point evaluation with coefficient |T_A / q T_A|, q = (x-1)(y-1).
+    """Integer-point evaluation of the class: the tag of each term contributes
+    |T_A / q T_A| = prod gcd(n_i, q), q = (x-1)(y-1).
 
     gcd(n, 0) = n makes the q = 0 case exact without special handling:
     the whole tag order survives.
     """
-    m = verify(m)
-    if m.table[m.full].rank != 0:
-        raise ValueError("input is not essential; essentialize first")
-    r0 = m.table[0].rank
     q = (x - 1) * (y - 1)
-    total = 0
-    for a in subsets(len(m.labels)):
-        g = m.table[a]
-        c = 1
-        for n in g.factors:
-            c *= math.gcd(n, q)
-        cork = g.rank
-        nullity = g.rank + popcount(a) - r0
-        total += c * (x - 1) ** cork * (y - 1) ** nullity
-    return total
+    return sum(
+        coeff * math.prod(math.gcd(f, q) for f in tag) * (x - 1) ** c * (y - 1) ** n
+        for (c, n, tag), coeff in tutte_class(m).terms.items()
+    )
 
 
 def poly_eval(p: Poly2, x: int, y: int) -> int:
