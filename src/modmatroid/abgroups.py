@@ -144,9 +144,10 @@ def pval(n: int, p: int) -> int:
 def canonicalize(orders: Iterable[int], rank: int = 0) -> FgAbGroup:
     """Group with cyclic summands of the given orders, in canonical form.
 
-    Order 0 encodes a free summand, order 1 is dropped.  Non-chain inputs
-    are merged through their primary decomposition (CRT), so the input
-    ordering never matters.
+    Order 0 encodes a free summand, order 1 is dropped.  The torsion
+    orders are merged pairwise, Z/a + Z/b = Z/gcd + Z/lcm: after the pass
+    over i < j every order divides the later ones, so no factorization is
+    needed and the input ordering never matters.
     """
     fs: list[int] = []
     r = rank
@@ -156,25 +157,12 @@ def canonicalize(orders: Iterable[int], rank: int = 0) -> FgAbGroup:
             r += 1
         elif n > 1:
             fs.append(n)
-    fs.sort()
-    if all(b % a == 0 for a, b in zip(fs, fs[1:])):
-        return FgAbGroup(r, tuple(fs))
-    primary: dict[int, list[int]] = {}
-    for n in fs:
-        for p, e in factorize(n):
-            primary.setdefault(p, []).append(e)
-    for es in primary.values():
-        es.sort(reverse=True)
-    depth = max(len(es) for es in primary.values())
-    chain = []
-    for k in range(depth):
-        f = 1
-        for p, es in primary.items():
-            if k < len(es):
-                f *= p ** es[k]
-        chain.append(f)
-    chain.reverse()
-    return FgAbGroup(r, tuple(chain))
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            a, b = fs[i], fs[j]
+            g = math.gcd(a, b)
+            fs[i], fs[j] = g, a // g * b
+    return FgAbGroup(r, tuple(f for f in fs if f > 1))
 
 
 def cokernel(relations: Mat) -> FgAbGroup:

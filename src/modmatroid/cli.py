@@ -306,7 +306,11 @@ def main(argv=None) -> int:
                 return 2
             h = heights(localize_matroid(m, args.p), args.n)
             count = 0
-            fh, sink = _open_log(args.log)
+            try:
+                fh, sink = _open_log(args.log)
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
 
             def counted(line: str) -> None:
                 nonlocal count

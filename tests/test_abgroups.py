@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modmatroid import abgroups
 from modmatroid.abgroups import (
     INF,
     TRIVIAL,
@@ -42,12 +43,20 @@ def test_str_forms():
     assert str(FgAbGroup(0, (2, 4))) == "Z/2 + Z/4"
 
 
-def test_canonicalize_frozen():
+def test_canonicalize_frozen(monkeypatch):
     assert canonicalize([2, 3]) == FgAbGroup(0, (6,))
     assert canonicalize([4, 2]) == FgAbGroup(0, (2, 4))
     assert canonicalize([1, 5, 0]) == FgAbGroup(1, (5,))
     assert canonicalize([], 2) == FgAbGroup(2, ())
     assert canonicalize([12, 18]) == FgAbGroup(0, (6, 36))
+
+    # merging needs no factorization, however large the orders
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(abgroups, "factorize", refuse)
+    p, q = 10**24 + 7, 3 * 10**24 + 7
+    assert canonicalize([6, 4 * p * q]) == FgAbGroup(0, (2, 12 * p * q))
 
 
 @settings(max_examples=150, deadline=None)
@@ -59,6 +68,10 @@ def test_canonicalize_idempotent_and_order_free(orders, rank):
     total = math.prod(o for o in orders if o) if orders else 1
     assert g.torsion_order == total
     assert g.rank == rank + sum(1 for o in orders if o == 0)
+    # the Smith normal form of diag(orders), with rank zero rows below
+    n = len(orders)
+    diag = [[o if i == j else 0 for j in range(n)] for i, o in enumerate(orders)]
+    assert cokernel(diag + [[0] * n for _ in range(rank)]) == g
 
 
 def test_group_sum():

@@ -286,6 +286,12 @@ def test_missing_file(run, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
+    # an unwritable log is a usage error, not a verified negative
+    code, out, err = run(
+        ["flagscan", "--p", "2", "--n", "2", "--log", "/nonexistent/dir/x.log"], GOOD_MATROID
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "x.log" in err
 
 
 def test_usage_errors():
