@@ -21,7 +21,7 @@ from .abgroups import (
     support_primes,
 )
 from .duality import dual, gale_dual
-from .intmat import SnfResult, det, smith_normal_form
+from .intmat import SnfResult, smith_normal_form
 from .matroids import (
     DvrMatroid,
     MatroidError,
@@ -41,7 +41,6 @@ from .matroids import (
 )
 from .oracle import pushout_oracle, quotient_by_element, surjection_oracle
 from .qam import QamData, check_axioms, to_qam
-from .surjections import cyclic_surjection_exists, square_exists
 from .tropical import (
     HeightFunction,
     TropicalVerdict,

@@ -46,10 +46,6 @@ class FgAbGroup:
     def torsion_order(self) -> int:
         return math.prod(self.factors)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.factors
-
     def __str__(self) -> str:
         parts = []
         if self.rank == 1:
@@ -63,7 +59,9 @@ class FgAbGroup:
 TRIVIAL = FgAbGroup()
 
 
-def _is_probable_prime(n: int) -> bool:
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 37: exact below about
+    3.2 * 10^23, a probable-prime test above; it factorizes nothing."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -74,7 +72,6 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # deterministic for anything this package will ever see
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -121,7 +118,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if _is_probable_prime(m):
+        if is_probable_prime(m):
             counts[m] += 1
             continue
         d = _pollard_rho(m)

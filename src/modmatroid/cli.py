@@ -4,9 +4,12 @@ Every pipeline is reachable from one executable with subcommands; input
 documents arrive as JSON files (or ``-`` for stdin) and results go to
 stdout.  Exit codes: 0 for OK / true, 1 for a verified negative (an
 axiom violation, a failed tropical relation, an oracle disagreement),
-2 for usage or parse errors, including preconditions like an input that
-would first need essentializing, 3 for an internal failure (a witness
-search out of budget, a failed consistency check).
+2 for usage or parse errors, including a library precondition like an
+input that would first need essentializing (``error: <message>`` on
+stderr), 3 for an internal failure (a witness search out of budget, a
+failed consistency check), 4 for an undecided square (no-witness-pair:
+the witness search found no pair, which does not prove that none
+exists).
 """
 
 from __future__ import annotations
@@ -14,10 +17,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .abgroups import INF, FgAbGroup, factorize
+from .abgroups import (
+    INF,
+    FgAbGroup,
+    factorize,  # not called here; perfbench/spans.py traces calls through this name
+    is_probable_prime,
+)
 from .duality import dual, gale_dual
 from .jsonio import (
-    DocumentError,
     dumps,
     emit_matroid_document,
     emit_realization_document,
@@ -39,9 +46,8 @@ from .matroids import (
 )
 from .oracle import abelian_p_groups, pushout_oracle, surjection_oracle
 from .qam import check_axioms, to_qam
-from .surjections import cyclic_surjection_exists, square_exists
+from .surjections import check_m1, check_square
 from .tropical import (
-    FLAG_SCAN_MAX_LABELS,
     dressian_check,
     flag_pluecker_scan,
     heights,
@@ -69,7 +75,7 @@ def _horizon(text: str):
 
 def _prime(text: str) -> int:
     p = int(text)
-    if p < 2 or factorize(p) != ((p, 1),):
+    if not is_probable_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
 
@@ -136,13 +142,6 @@ def _verified(path: str) -> ZMatroid:
     return verify(_load_matroid(path))
 
 
-def _essential(m: ZMatroid) -> ZMatroid:
-    if m.table[m.full].rank != 0:
-        print("input is not essential; run essentialize first", file=sys.stderr)
-        raise SystemExit(2)
-    return m
-
-
 def _print_tropical(verdict, limit: int = 20) -> int:
     if verdict.ok:
         print("OK")
@@ -158,13 +157,6 @@ def _print_tropical(verdict, limit: int = 20) -> int:
     return 1
 
 
-def _open_log(path):
-    if path is None:
-        return None, lambda line: None
-    fh = open(path, "w", encoding="utf-8")
-    return fh, lambda line: print(line, file=fh)
-
-
 def _cmd_oracle_verify(max_order: int) -> int:
     pair_checks = 0
     square_checks = 0
@@ -174,7 +166,7 @@ def _cmd_oracle_verify(max_order: int) -> int:
         for src in groups:
             for dst in groups:
                 pair_checks += 1
-                if cyclic_surjection_exists(src, dst) != surjection_oracle(src, dst, max_order):
+                if check_m1(src, dst).ok != surjection_oracle(src, dst, max_order):
                     bad += 1
                     print(f"disagreement: surjection {src} -> {dst}")
     for p, cap in ((2, 32), (3, 27)):
@@ -184,7 +176,7 @@ def _cmd_oracle_verify(max_order: int) -> int:
                 for n2 in groups:
                     for n12 in groups:
                         square_checks += 1
-                        lhs = square_exists(n0, n1, n2, n12)
+                        lhs = check_square(n0, n1, n2, n12).ok
                         rhs = pushout_oracle(n0, n1, n2, n12, max_order)
                         if lhs != rhs:
                             bad += 1
@@ -204,12 +196,12 @@ def main(argv=None) -> int:
     try:
         if cmd == "check":
             m = _load_matroid(args.input)
-            verdict = is_matroid(m)
-            if verdict.ok:
+            v = is_matroid(m).violation
+            if v is None:
                 print("OK")
                 return 0
-            print("violation " + verdict.violation.describe(m.labels))
-            return 1
+            print(("undecided " if v.undecided else "violation ") + v.describe(m.labels))
+            return 4 if v.undecided else 1
 
         if cmd == "realize":
             r = parse_realization_document(load_path(args.input))
@@ -245,8 +237,7 @@ def main(argv=None) -> int:
             return 0
 
         if cmd == "tutte":
-            m = _essential(_verified(args.input))
-            t = tutte_class(m)
+            t = tutte_class(_verified(args.input))
             if args.form == "class":
                 for (cork, nullity, tag), coeff in t.sorted_terms():
                     tags = ",".join(str(f) for f in tag)
@@ -258,8 +249,7 @@ def main(argv=None) -> int:
             return 0
 
         if cmd == "quasi":
-            m = _essential(_verified(args.input))
-            print(quasi_tutte_eval(m, args.x, args.y))
+            print(quasi_tutte_eval(_verified(args.input), args.x, args.y))
             return 0
 
         if cmd == "qam":
@@ -288,11 +278,7 @@ def main(argv=None) -> int:
             return 0
 
         if cmd == "dressian":
-            m = _load_matroid(args.input)
-            if args.r is not None and not 0 <= args.r <= len(m.labels):
-                print(f"error: --r must lie in 0..{len(m.labels)}", file=sys.stderr)
-                return 2
-            h = heights(localize_matroid(verify(m), args.p), args.n)
+            h = heights(localize_matroid(_verified(args.input), args.p), args.n)
             if args.r is not None:
                 verdict = dressian_check(h, args.r)
             else:
@@ -300,45 +286,37 @@ def main(argv=None) -> int:
             return _print_tropical(verdict)
 
         if cmd == "flagscan":
-            m = _verified(args.input)
-            if len(m.labels) > FLAG_SCAN_MAX_LABELS:
-                print(f"flag scan is capped at {FLAG_SCAN_MAX_LABELS} labels", file=sys.stderr)
-                return 2
-            h = heights(localize_matroid(m, args.p), args.n)
+            h = heights(localize_matroid(_verified(args.input), args.p), args.n)
             count = 0
-            try:
-                fh, sink = _open_log(args.log)
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            log = open(args.log, "w", encoding="utf-8") if args.log else None
 
             def counted(line: str) -> None:
                 nonlocal count
                 count += 1
-                sink(line)
+                if log:
+                    print(line, file=log)
 
             try:
                 verdict = flag_pluecker_scan(h, counted)
             finally:
-                if fh:
-                    fh.close()
+                if log:
+                    log.close()
             print(f"relations={count} violations={len(verdict.violations)}")
             return _print_tropical(verdict) if not verdict.ok else 0
 
         if cmd == "valuated":
-            m = _essential(_verified(args.input))
-            verdict = valuated_matroid_check(localize_matroid(m, args.p))
+            verdict = valuated_matroid_check(localize_matroid(_verified(args.input), args.p))
             return _print_tropical(verdict)
 
         if cmd == "oracle-verify":
             return _cmd_oracle_verify(args.max_order)
 
-    except DocumentError as exc:
+    except MatroidError as exc:  # a ValueError, so ahead of the usage errors
+        print(exc)
+        return 4 if exc.violation.undecided else 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MatroidError as exc:
-        print(exc)
-        return 1
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -31,15 +31,6 @@ def transpose(m: Mat) -> Mat:
     return [[m[i][j] for i in range(rows)] for j in range(cols)]
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    ar, ac = shape(a)
-    br, bc = shape(b)
-    if ac != br:
-        raise ValueError(f"cannot multiply {ar}x{ac} by {br}x{bc}")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def hstack(a: Mat, b: Mat) -> Mat:
     """Concatenate columns; both matrices must have the same row count."""
     if len(a) != len(b):
@@ -47,6 +38,7 @@ def hstack(a: Mat, b: Mat) -> Mat:
     return [ra + rb for ra, rb in zip(a, b)]
 
 
+# not called in the library; perfbench/spans.py traces calls through this name
 def det(m: Mat) -> int:
     """Determinant of a square matrix by fraction-free (Bareiss) elimination."""
     n = len(m)
@@ -74,10 +66,6 @@ def det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_unimodular(m: Mat) -> bool:
-    return abs(det(m)) == 1
-
-
 @dataclass(frozen=True)
 class SnfResult:
     """Invariant diagonal ``d`` with ``u @ input @ v == diag(d)``.
@@ -91,12 +79,6 @@ class SnfResult:
     u: Mat | None
     v: Mat | None
     uinv: Mat | None
-
-    def diagonal(self, rows: int, cols: int) -> Mat:
-        out = [[0] * cols for _ in range(rows)]
-        for i, x in enumerate(self.d):
-            out[i][i] = x
-        return out
 
 
 TRANSFORMS = ("u", "v", "uinv")

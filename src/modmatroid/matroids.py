@@ -26,6 +26,7 @@ from .abgroups import (
 )
 from .intmat import Mat, shape
 from .surjections import (
+    NO_PAIR,
     check_m1,
     check_square,
     exact_cap,
@@ -42,16 +43,6 @@ def subsets(n_labels: int) -> range:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
-
-
-def mask_of(labels: tuple[str, ...], subset) -> int:
-    mask = 0
-    for a in subset:
-        try:
-            mask |= 1 << labels.index(a)
-        except ValueError:
-            raise KeyError(f"unknown label {a!r}") from None
-    return mask
 
 
 def labels_of(labels: tuple[str, ...], mask: int) -> tuple[str, ...]:
@@ -86,9 +77,6 @@ class ZMatroid:
     @property
     def full(self) -> int:
         return (1 << len(self.labels)) - 1
-
-    def entry(self, subset) -> FgAbGroup:
-        return self.table[mask_of(self.labels, subset)]
 
 
 @dataclass(frozen=True)
@@ -152,6 +140,12 @@ class Violation:
     prime: int | None = None
     index: int | None = None
 
+    @property
+    def undecided(self) -> bool:
+        """A no-witness-pair: the witness search found no pair, which does
+        not prove that none exists, so this is no verified negative."""
+        return self.kind == NO_PAIR
+
     def describe(self, labels: tuple[str, ...]) -> str:
         where = subset_key(labels, self.mask)
         msg = f"A={{{where}}} b={self.b} c={self.c}: {self.kind}"
@@ -169,11 +163,13 @@ class Verdict:
 
 
 class MatroidError(ValueError):
-    """Raised where a verified table is required but the axiom fails."""
+    """Raised where a verified table is required but the axiom fails or
+    a square is left undecided."""
 
     def __init__(self, m, violation: Violation):
         self.violation = violation
-        super().__init__("not a matroid: " + violation.describe(m.labels))
+        verdict = "undecided" if violation.undecided else "not a matroid"
+        super().__init__(f"{verdict}: {violation.describe(m.labels)}")
 
 
 def from_realization(r: Realization) -> ZMatroid:

@@ -369,10 +369,6 @@ def check_m1(src: FgAbGroup, dst: FgAbGroup) -> SquareVerdict:
     return _OK
 
 
-def cyclic_surjection_exists(src: FgAbGroup, dst: FgAbGroup) -> bool:
-    return check_m1(src, dst).ok
-
-
 def exact_cap(p: int | None) -> int:
     """Largest exponent at which the stage-2/3 refinement applies at p;
     0 at the generic point (p None), where every module is free."""
@@ -429,7 +425,3 @@ def check_square(
         if short and not _witness_search(*local, p):
             return SquareVerdict(False, NO_PAIR, p, short[0][0])
     return _OK
-
-
-def square_exists(n0: FgAbGroup, n1: FgAbGroup, n2: FgAbGroup, n12: FgAbGroup) -> bool:
-    return check_square(n0, n1, n2, n12).ok

@@ -41,12 +41,6 @@ class HeightFunction:
     n: object  # horizon: positive int or INF
     values: tuple  # indexed by subset bitmask; entries int or INF
 
-    def value(self, subset_labels) -> object:
-        mask = 0
-        for a in subset_labels:
-            mask |= 1 << self.labels.index(a)
-        return self.values[mask]
-
 
 @dataclass(frozen=True)
 class TropicalViolation:

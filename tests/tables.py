@@ -3,10 +3,56 @@ statements: direct sums (sums are matroids, the Tutte class is
 multiplicative), generic loops and coloops (deletion-contraction), the
 dual of a localized table (localization commutes with duality) and the
 residue corank functions (they are matroid rank functions and dualize
-classically)."""
+classically).  Lookups by label and the matrix identities that the
+tests state about the Smith normal form live here too."""
 
-from modmatroid.abgroups import DMod, FgAbGroup, canonicalize, localize
+from modmatroid.abgroups import TRIVIAL, DMod, FgAbGroup, canonicalize, localize
+from modmatroid.intmat import Mat, SnfResult, det, shape, transpose
 from modmatroid.matroids import DvrMatroid, ZMatroid, popcount, subsets
+from modmatroid.tropical import HeightFunction
+
+
+def mask_of(labels: tuple[str, ...], subset) -> int:
+    mask = 0
+    for a in subset:
+        try:
+            mask |= 1 << labels.index(a)
+        except ValueError:
+            raise KeyError(f"unknown label {a!r}") from None
+    return mask
+
+
+def entry(m: ZMatroid, subset) -> FgAbGroup:
+    return m.table[mask_of(m.labels, subset)]
+
+
+def height(h: HeightFunction, subset) -> object:
+    return h.values[mask_of(h.labels, subset)]
+
+
+def is_trivial(g: FgAbGroup) -> bool:
+    return g == TRIVIAL
+
+
+def matmul(a: Mat, b: Mat) -> Mat:
+    ar, ac = shape(a)
+    br, bc = shape(b)
+    if ac != br:
+        raise ValueError(f"cannot multiply {ar}x{ac} by {br}x{bc}")
+    bt = transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def is_unimodular(m: Mat) -> bool:
+    return abs(det(m)) == 1
+
+
+def diagonal(snf: SnfResult, rows: int, cols: int) -> Mat:
+    """The rows x cols matrix with the invariant diagonal ``snf.d``."""
+    out = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(snf.d):
+        out[i][i] = x
+    return out
 
 
 def group_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

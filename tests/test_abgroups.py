@@ -19,15 +19,15 @@ from modmatroid.abgroups import (
     pval,
     support_primes,
 )
-from tables import group_sum
+from tables import group_sum, is_trivial
 
 
 def test_group_construction_rules():
     g = FgAbGroup(1, (2, 4))
     assert g.rank == 1 and g.factors == (2, 4)
     assert g.torsion_order == 8
-    assert not g.is_trivial
-    assert TRIVIAL.is_trivial
+    assert not is_trivial(g)
+    assert is_trivial(TRIVIAL)
     with pytest.raises(ValueError):
         FgAbGroup(0, (4, 2))
     with pytest.raises(ValueError):

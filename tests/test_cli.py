@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from modmatroid import surjections
+from modmatroid import cli, surjections
 from modmatroid.cli import build_parser, main
 from modmatroid.jsonio import dumps, emit_matroid_document
 from modmatroid.matroids import from_realization, random_realization, subset_key, subsets
@@ -36,7 +36,7 @@ GOOD_REAL = {
     "generators": {"1": [1, 0], "2": [1, 1]},
 }
 GCD_REAL = {"ambient_relations": [], "generators": {"1": [1], "2": [2], "3": [4]}}
-# realizable, yet rejected: the witness search finds no pair for one square
+# realizable, yet undecided: the witness search finds no pair for one square
 NO_WITNESS_REAL = {
     "ambient_relations": [[256, 0, 0, 0], [0, 64, 0, 0], [0, 0, 16, 0], [0, 0, 0, 128]],
     "generators": {"e": [-64, -46, 24, 18], "f": [20, -43, 10, 63], "i": [-6, -61, -24, -58]},
@@ -82,8 +82,11 @@ def test_check_rejects_torsion_free_non_matroid(run):
 def test_check_internal_failure_exits_3(run, monkeypatch):
     code, doc, _ = run(["realize"], NO_WITNESS_REAL)
     assert code == 0
+    # a no-witness-pair is undecided, not a verified negative
     code, out, _ = run(["check"], json.loads(doc))
-    assert code == 1 and out == "violation A={e} b=f c=i: no-witness-pair p=2 n=7\n"
+    assert code == 4 and out == "undecided A={e} b=f c=i: no-witness-pair p=2 n=7\n"
+    code, out, _ = run(["dual"], json.loads(doc))
+    assert code == 4 and out == "undecided: A={e} b=f c=i: no-witness-pair p=2 n=7\n"
     # with no search budget the same decision raises instead
     monkeypatch.setattr(surjections, "_SEARCH_GUARD", 0)
     surjections.check_square.cache_clear()
@@ -202,9 +205,10 @@ def test_tutte_forms(run):
 
 def test_tutte_rejects_non_essential(run, tmp_path):
     free = {"ground_set": ["a"], "modules": {"": {"rank": 2}, "a": {"rank": 1}}}
-    with pytest.raises(SystemExit) as exc:
-        run(["tutte"], free)
-    assert exc.value.code == 2
+    for args in (["tutte"], ["quasi", "--x", "2", "--y", "3"], ["valuated", "--p", "2"]):
+        code, out, err = run(args, free)
+        assert code == 2 and out == ""
+        assert err == "error: input is not essential; essentialize first\n"
 
 
 def test_quasi(run):
@@ -232,10 +236,21 @@ def test_localize(run):
     assert json.loads(out)["modules"][""] == {"rank": 0, "torsion": []}
 
 
-def test_localize_rejects_composite(run):
-    with pytest.raises(SystemExit) as exc:
-        run(["localize", "--p", "4"], GOOD_MATROID)
-    assert exc.value.code == 2
+def test_localize_rejects_composite(run, capsys, monkeypatch):
+    # --p is tested for primality, not factorized
+    def no_factorize(n):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(cli, "factorize", no_factorize)
+    # 4, and the product of 10^24+7 and 3*10^24+7
+    for p in ("4", "3000000000000000000000028000000000000000000000049"):
+        with pytest.raises(SystemExit) as exc:
+            run(["localize", "--p", p], GOOD_MATROID)
+        assert exc.value.code == 2
+        assert f"{p} is not prime" in capsys.readouterr().err
+    code, out, err = run(["localize", "--p", "1000000000000000000000007"], GOOD_MATROID)
+    assert code == 0
+    assert json.loads(out)["modules"][""] == {"rank": 0, "torsion": []}
 
 
 def test_dressian(run):
@@ -250,7 +265,21 @@ def test_dressian(run):
 def test_dressian_rank_out_of_range(run, r):
     code, out, err = run(["dressian", "--p", "2", "--n", "2", "--r", r], GOOD_MATROID)
     assert code == 2 and out == ""
-    assert err == "error: --r must lie in 0..2\n"
+    assert err == "error: r must lie in 0..2\n"
+
+
+def test_dressian_verifies_before_rank_check(run):
+    code, out, err = run(["dressian", "--p", "2", "--n", "2", "--r", "99"], BAD_MATROID)
+    assert code == 1 and out == "not a matroid: A={} b=1 c=2: L2a p=2 n=1\n"
+
+
+def test_flagscan_rejects_more_than_eight_labels(run):
+    labels = list("abcdefghi")
+    doc = {"ground_set": labels,
+           "modules": {subset_key(labels, s): {"rank": 0} for s in subsets(len(labels))}}
+    code, out, err = run(["flagscan", "--p", "2", "--n", "2"], doc)
+    assert code == 2 and out == ""
+    assert err == "error: flag scan is capped at 8 labels\n"
 
 
 def test_flagscan_with_log(run, tmp_path):
@@ -314,8 +343,8 @@ def test_parser_lists_every_subcommand():
         assert name in text
 
 
-# --- the exit-code contract of `check`, `qam`, `dual` and `essentialize` on
-# random and mutated documents ---
+# --- the exit-code contract of every document subcommand on random and
+# mutated documents ---
 # Integers stay small: a large semiprime torsion order still makes
 # factorize run for minutes, an open defect this test does not probe.
 
@@ -356,13 +385,23 @@ def _check_documents(draw):
     return draw(_JUNK) if draw(st.integers(0, 9)) == 0 else doc
 
 
-@settings(max_examples=150, deadline=None,
+_COMMANDS = [
+    ["check"], ["qam"], ["dual"], ["essentialize"], ["tutte"], ["quasi", "--x", "2", "--y", "3"],
+    ["localize", "--p", "2"], ["valuated", "--p", "2"], ["dressian", "--p", "2", "--n", "2"],
+    ["flagscan", "--p", "2", "--n", "2"], ["minor", "--delete", "a"],
+]
+
+
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_check_documents(), cmd=st.sampled_from(["check", "qam", "dual", "essentialize"]))
+@given(doc=_check_documents(), cmd=st.sampled_from(_COMMANDS))
 def test_check_exit_code_contract(tmp_path, capsys, doc, cmd):
-    # qam, dual and essentialize reach the scan through verify
+    # every command but localize and minor reaches the scan through verify
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code = main([cmd, str(path)])
+    try:
+        code = main([*cmd, str(path)])
+    except SystemExit as exc:
+        raise AssertionError(f"{cmd[0]} raised SystemExit({exc.code})") from exc
     capsys.readouterr()
-    assert code in (0, 1, 2)
+    assert code in (0, 1, 2, 4)

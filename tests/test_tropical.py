@@ -27,6 +27,7 @@ from modmatroid.tropical import (
     three_term_check,
     valuated_matroid_check,
 )
+from tables import height
 
 GCD_LINE = Realization(("1", "2", "3"), [[]], [[1, 2, 4]])
 
@@ -39,7 +40,7 @@ def test_heights_frozen():
     m = _loc(GCD_LINE, 2)
     h = heights(m, 2)
     assert h.values == (2, 0, 1, 0, 2, 0, 1, 0)
-    assert h.value(("2",)) == 1 and h.value(()) == 2
+    assert height(h, ("2",)) == 1 and height(h, ()) == 2
     h1 = heights(m, 1)
     assert h1.values == (1, 0, 1, 0, 1, 0, 1, 0)
     hinf = heights(m, INF)
