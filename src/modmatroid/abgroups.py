@@ -16,31 +16,30 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .intmat import Mat, shape, smith_normal_form
+from .intmat import Mat, Record, setfield, shape, smith_normal_form
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Record):
     """Free rank plus invariant-factor chain; the canonical form over the integers."""
 
-    rank: int = 0
-    factors: tuple[int, ...] = ()
+    __slots__ = ("rank", "factors")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int = 0, factors: tuple[int, ...] = ()):
+        if rank < 0:
             raise ValueError("negative rank")
-        for f in self.factors:
+        for f in factors:
             if f < 2:
                 raise ValueError(f"invariant factor {f} < 2")
-        for a, b in zip(self.factors, self.factors[1:]):
+        for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
+        setfield(self, "rank", rank)
+        setfield(self, "factors", factors)
 
     @property
     def torsion_order(self) -> int:
@@ -237,8 +236,7 @@ def support_primes(*groups: FgAbGroup) -> tuple[int, ...]:
     return tuple(sorted(primes))
 
 
-@dataclass(frozen=True)
-class DMod:
+class DMod(Record):
     """Module over a discrete valuation ring: free rank plus torsion exponents.
 
     ``exps`` is the nonincreasing multiset of exponents e of the cyclic
@@ -246,18 +244,19 @@ class DMod:
     nonincreasing in i and eventually constant at ``rank``.
     """
 
-    rank: int = 0
-    exps: tuple[int, ...] = ()
+    __slots__ = ("rank", "exps")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int = 0, exps: tuple[int, ...] = ()):
+        if rank < 0:
             raise ValueError("negative rank")
-        for e in self.exps:
+        for e in exps:
             if e < 1:
                 raise ValueError("exponents must be positive")
-        for a, b in zip(self.exps, self.exps[1:]):
+        for a, b in zip(exps, exps[1:]):
             if b > a:
                 raise ValueError("exponents must be nonincreasing")
+        setfield(self, "rank", rank)
+        setfield(self, "exps", exps)
 
     @property
     def length(self) -> int:

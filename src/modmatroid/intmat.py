@@ -9,9 +9,50 @@ bases of quotients off ``uinv``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 Mat = list  # list[list[int]], row major
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in ``__slots__`` and sets each one in its
+    ``__init__`` with ``setfield``; the class keyword ``compare`` names
+    the fields that equality and the hash read (default: all).  Equality
+    is type-strict, assigning or deleting a field raises AttributeError
+    and the repr is ``Name(field=value, ...)``.  Plain classes, not
+    dataclasses: importing ``dataclasses`` costs each process a few ms.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare: tuple[str, ...] | None = None):
+        cls._key = attrgetter(*(compare or cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+setfield = object.__setattr__  # past Record.__setattr__, for __init__ only
 
 
 def shape(m: Mat) -> tuple[int, int]:
@@ -66,8 +107,7 @@ def det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Invariant diagonal ``d`` with ``u @ input @ v == diag(d)``.
 
     ``d`` has length min(rows, cols); each entry is nonnegative and divides
@@ -75,10 +115,13 @@ class SnfResult:
     the inverse of ``u``; a transform that was not tracked is None.
     """
 
-    d: tuple[int, ...]
-    u: Mat | None
-    v: Mat | None
-    uinv: Mat | None
+    __slots__ = ("d", "u", "v", "uinv")
+
+    def __init__(self, d: tuple[int, ...], u: Mat | None, v: Mat | None, uinv: Mat | None):
+        setfield(self, "d", d)
+        setfield(self, "u", u)
+        setfield(self, "v", v)
+        setfield(self, "uinv", uinv)
 
 
 TRANSFORMS = ("u", "v", "uinv")

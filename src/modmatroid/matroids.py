@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 
@@ -24,7 +23,7 @@ from .abgroups import (
     subset_cokernels,
     support_primes,
 )
-from .intmat import Mat, shape
+from .intmat import Mat, Record, setfield, shape
 from .surjections import (
     NO_PAIR,
     check_m1,
@@ -61,58 +60,61 @@ def _check_ground(labels: tuple[str, ...]):
         raise ValueError(f"ground set larger than {MAX_GROUND}")
 
 
-@dataclass(frozen=True)
-class ZMatroid:
-    """Total mapping from subset bitmasks to groups, one entry per subset."""
+class ZMatroid(Record, compare=("labels", "table")):
+    """Total mapping from subset bitmasks to groups, one entry per subset.
+    ``verified`` does not take part in equality or the hash."""
 
-    labels: tuple[str, ...]
-    table: tuple[FgAbGroup, ...]
-    verified: bool = field(default=False, compare=False)
+    __slots__ = ("labels", "table", "verified")
 
-    def __post_init__(self):
-        _check_ground(self.labels)
-        if len(self.table) != 1 << len(self.labels):
+    def __init__(self, labels: tuple[str, ...], table: tuple[FgAbGroup, ...],
+                 verified: bool = False):
+        _check_ground(labels)
+        if len(table) != 1 << len(labels):
             raise ValueError("table size does not match ground set")
+        setfield(self, "labels", labels)
+        setfield(self, "table", table)
+        setfield(self, "verified", verified)
 
     @property
     def full(self) -> int:
         return (1 << len(self.labels)) - 1
 
 
-@dataclass(frozen=True)
-class DvrMatroid:
+class DvrMatroid(Record):
     """The same table shape with one-prime local modules as entries."""
 
-    labels: tuple[str, ...]
-    table: tuple[DMod, ...]
+    __slots__ = ("labels", "table")
 
-    def __post_init__(self):
-        _check_ground(self.labels)
-        if len(self.table) != 1 << len(self.labels):
+    def __init__(self, labels: tuple[str, ...], table: tuple[DMod, ...]):
+        _check_ground(labels)
+        if len(table) != 1 << len(labels):
             raise ValueError("table size does not match ground set")
+        setfield(self, "labels", labels)
+        setfield(self, "table", table)
 
     @property
     def full(self) -> int:
         return (1 << len(self.labels)) - 1
 
 
-@dataclass(frozen=True)
-class Realization:
-    """Integer vector configuration: ambient Z^n modulo relation columns,
-    one generator column per label."""
+class Realization(Record):
+    """Integer vector configuration: ambient Z^n modulo relation columns
+    (``relations``, n x m), one generator column per label (``vectors``,
+    n x len(labels))."""
 
-    labels: tuple[str, ...]
-    relations: Mat  # n x m, columns span the ambient relations
-    vectors: Mat  # n x len(labels)
+    __slots__ = ("labels", "relations", "vectors")
 
-    def __post_init__(self):
-        _check_ground(self.labels)
-        n, m = shape(self.relations)
-        nv, e = shape(self.vectors)
-        if e != len(self.labels):
+    def __init__(self, labels: tuple[str, ...], relations: Mat, vectors: Mat):
+        _check_ground(labels)
+        n, m = shape(relations)
+        nv, e = shape(vectors)
+        if e != len(labels):
             raise ValueError("one generator column per label required")
-        if self.labels and n != nv:
+        if labels and n != nv:
             raise ValueError("relation and generator row counts differ")
+        setfield(self, "labels", labels)
+        setfield(self, "relations", relations)
+        setfield(self, "vectors", vectors)
 
 
 def random_realization(rng: random.Random, max_dim: int = 4, max_labels: int = 6,
@@ -131,14 +133,17 @@ def random_realization(rng: random.Random, max_dim: int = 4, max_labels: int = 6
     return Realization(labels, relations, vectors)
 
 
-@dataclass(frozen=True)
-class Violation:
-    mask: int
-    b: str
-    c: str
-    kind: str
-    prime: int | None = None
-    index: int | None = None
+class Violation(Record):
+    __slots__ = ("mask", "b", "c", "kind", "prime", "index")
+
+    def __init__(self, mask: int, b: str, c: str, kind: str,
+                 prime: int | None = None, index: int | None = None):
+        setfield(self, "mask", mask)
+        setfield(self, "b", b)
+        setfield(self, "c", c)
+        setfield(self, "kind", kind)
+        setfield(self, "prime", prime)
+        setfield(self, "index", index)
 
     @property
     def undecided(self) -> bool:
@@ -156,10 +161,12 @@ class Violation:
         return msg
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    violation: Violation | None = None
+class Verdict(Record):
+    __slots__ = ("ok", "violation")
+
+    def __init__(self, ok: bool, violation: Violation | None = None):
+        setfield(self, "ok", ok)
+        setfield(self, "violation", violation)
 
 
 class MatroidError(ValueError):
@@ -249,8 +256,9 @@ class _Memo:
                 + len(self.m1) + len(self.square) + sum(map(len, self.local.values())))
 
     def number(self, table) -> list[int]:
-        # keyed by (rank, factors): a tuple hashes and compares in C, a
-        # frozen dataclass through Python-level methods
+        # keyed by (rank, factors), not by the group: a tuple hashes and
+        # compares in C, a group through Record's Python-level __hash__ and
+        # __eq__, which made numbering 10-label tables about 5x slower
         ids = self.ids
         keys = [(g.rank, g.factors) for g in table]
         code = list(map(ids.get, keys))

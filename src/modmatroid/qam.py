@@ -21,35 +21,40 @@ out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from .intmat import Record, setfield
 from .matroids import ZMatroid, generic_rank, popcount, subset_key, subsets, verify
 
 
-@dataclass(frozen=True)
-class QamData:
-    labels: tuple[str, ...]
-    rk: tuple[int, ...]  # indexed by subset bitmask
-    mult: tuple[int, ...]
+class QamData(Record):
+    __slots__ = ("labels", "rk", "mult")
 
-    def __post_init__(self):
-        if len(self.rk) != 1 << len(self.labels) or len(self.rk) != len(self.mult):
+    def __init__(self, labels: tuple[str, ...], rk: tuple[int, ...], mult: tuple[int, ...]):
+        # rk and mult are indexed by subset bitmask
+        if len(rk) != 1 << len(labels) or len(rk) != len(mult):
             raise ValueError("tables must cover every subset")
-        if any(v < 1 for v in self.mult):
+        if any(v < 1 for v in mult):
             raise ValueError("multiplicities must be positive")
+        setfield(self, "labels", labels)
+        setfield(self, "rk", rk)
+        setfield(self, "mult", mult)
 
 
-@dataclass(frozen=True)
-class QamViolation:
-    axiom: str
-    detail: str
+class QamViolation(Record):
+    __slots__ = ("axiom", "detail")
+
+    def __init__(self, axiom: str, detail: str):
+        setfield(self, "axiom", axiom)
+        setfield(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class QamVerdict:
-    ok: bool
-    violation: QamViolation | None = None
+class QamVerdict(Record):
+    __slots__ = ("ok", "violation")
+
+    def __init__(self, ok: bool, violation: QamViolation | None = None):
+        setfield(self, "ok", ok)
+        setfield(self, "violation", violation)
 
 
 def to_qam(m: ZMatroid) -> QamData:

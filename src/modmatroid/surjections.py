@@ -70,12 +70,11 @@ integers and are documented rather than coded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .abgroups import INF, DMod, FgAbGroup, cokernel, d_seq, localize, support_primes
-from .intmat import smith_normal_form, transpose
+from .intmat import Record, setfield, smith_normal_form, transpose
 
 # failure kinds, also used verbatim in diagnostics
 RANK_DROP = "rank-drop"
@@ -96,8 +95,7 @@ _EXACT_CAPS = {2: 9, 3: 5, 5: 4, 7: 3}
 _EXACT_CAP_DEFAULT = 2
 
 
-@dataclass(frozen=True)
-class SquareVerdict:
+class SquareVerdict(Record):
     """Outcome of a (possibly degenerate) square check.
 
     ``kind`` is None when ok; otherwise one of rank-drop, M1-local, L2a,
@@ -107,10 +105,14 @@ class SquareVerdict:
     directly over a discrete valuation ring.
     """
 
-    ok: bool
-    kind: str | None = None
-    prime: int | None = None
-    index: int | None = None
+    __slots__ = ("ok", "kind", "prime", "index")
+
+    def __init__(self, ok: bool, kind: str | None = None, prime: int | None = None,
+                 index: int | None = None):
+        setfield(self, "ok", ok)
+        setfield(self, "kind", kind)
+        setfield(self, "prime", prime)
+        setfield(self, "index", index)
 
 
 _OK = SquareVerdict(True)

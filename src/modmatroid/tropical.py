@@ -24,35 +24,43 @@ exchange inequality for that valuation is checked directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
 from .abgroups import INF, d_leq
+from .intmat import Record, setfield
 from .matroids import DvrMatroid, labels_of, popcount, subsets
 
 # largest ground set the exhaustive flag scan accepts
 FLAG_SCAN_MAX_LABELS = 8
 
 
-@dataclass(frozen=True)
-class HeightFunction:
-    labels: tuple[str, ...]
-    n: object  # horizon: positive int or INF
-    values: tuple  # indexed by subset bitmask; entries int or INF
+class HeightFunction(Record):
+    __slots__ = ("labels", "n", "values")
+
+    def __init__(self, labels: tuple[str, ...], n, values: tuple):
+        # n: the horizon, a positive int or INF; values: indexed by subset
+        # bitmask, entries int or INF
+        setfield(self, "labels", labels)
+        setfield(self, "n", n)
+        setfield(self, "values", values)
 
 
-@dataclass(frozen=True)
-class TropicalViolation:
-    relation: str
-    terms: tuple
-    argmin: str
+class TropicalViolation(Record):
+    __slots__ = ("relation", "terms", "argmin")
+
+    def __init__(self, relation: str, terms: tuple, argmin: str):
+        setfield(self, "relation", relation)
+        setfield(self, "terms", terms)
+        setfield(self, "argmin", argmin)
 
 
-@dataclass(frozen=True)
-class TropicalVerdict:
-    ok: bool
-    violations: tuple[TropicalViolation, ...] = ()
+class TropicalVerdict(Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[TropicalViolation, ...] = ()):
+        setfield(self, "ok", ok)
+        setfield(self, "violations", violations)
 
 
 def heights(m: DvrMatroid, n) -> HeightFunction:

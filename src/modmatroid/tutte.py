@@ -19,7 +19,6 @@ not the same number as |q T_A|.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .abgroups import canonicalize
 from .duality import dual  # not called here; perfbench/spans.py traces calls through this name
@@ -30,14 +29,23 @@ Monomial = tuple[int, int, tuple[int, ...]]
 Poly2 = dict  # dict[tuple[int, int], int], (x power, y power) -> coefficient
 
 
-@dataclass
 class TutteClass:
-    """Integer combination of monomials; no zero coefficients stored."""
+    """Integer combination of monomials; no zero coefficients stored.
+    Mutable, so unhashable; equal when of one type with equal terms."""
 
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("terms",)
+    __hash__ = None
 
-    def __post_init__(self):
-        self.terms = {k: v for k, v in self.terms.items() if v}
+    def __init__(self, terms: dict | None = None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TutteClass(terms={self.terms!r})"
 
     @property
     def mass(self) -> int:

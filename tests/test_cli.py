@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -321,6 +323,23 @@ def test_missing_file(run, capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "x.log" in err
+
+
+@pytest.mark.parametrize("doc, code, out", [
+    (GOOD_MATROID, 0, "OK\n"),
+    (BAD_MATROID, 1, "violation A={} b=1 c=2: L2a p=2 n=1\n"),
+    (None, 2, ""),
+], ids=["ok", "violation", "truncated"])
+def test_python_m_modmatroid(tmp_path, doc, code, out):
+    # runs __main__.py and cli.entry in a fresh interpreter
+    path = tmp_path / "in.json"
+    path.write_text(dumps(GOOD_MATROID)[:40] if doc is None else dumps(doc), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "modmatroid", "check", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert done.stderr.startswith("error:") == (code == 2)
 
 
 def test_usage_errors():
