@@ -4,9 +4,9 @@ Two kinds.  A matroid document lists the ground set and one entry per
 subset, keyed by the comma-joined, lexicographically sorted labels (the
 empty subset keys as "").  A realization document lists the ambient
 relation columns and one generator column per label.  Integers whose
-magnitude reaches 2^53 are serialized as strings so that readers with
-double-precision parsers cannot truncate them; both forms are accepted
-on input.
+magnitude reaches 2^53 are serialized as decimal strings so that readers
+with double-precision parsers cannot truncate them; both forms are
+accepted on input.
 
 Parsing canonicalizes (torsion chains are merged, with a warning when
 that changed anything) and emitting is deterministic, so emit-then-parse
@@ -35,9 +35,14 @@ def _encode_int(n: int):
 def _decode_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise DocumentError(f"{what}: expected an integer, got {x!r}")
+    if isinstance(x, str):
+        # a decimal string: no sign but "-", no spaces, "_" or non-ASCII digits
+        digits = x[1:] if x.startswith("-") else x
+        if not (digits.isascii() and digits.isdigit()):
+            raise DocumentError(f"{what}: bad integer {x!r}")
     try:
         return int(x)
-    except ValueError:
+    except ValueError:  # past the interpreter's limit on digits
         raise DocumentError(f"{what}: bad integer {x!r}") from None
 
 
@@ -156,7 +161,7 @@ def load_path(path: str) -> Any:
             return json.load(sys.stdin)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
         raise DocumentError(f"malformed JSON: {exc}") from None
     except OSError as exc:
         raise DocumentError(str(exc)) from None

@@ -29,7 +29,6 @@ from .surjections import (
     check_m1,
     check_square,
     exact_cap,
-    m1_failure_dvr,
     square_screen,
 )
 
@@ -190,17 +189,18 @@ def from_realization(r: Realization) -> ZMatroid:
     return ZMatroid(r.labels, tuple(table), verified=True)
 
 
-def _walk(labels, code, entries, lo, hi, pairs, squares):
+def _walk(labels, code, entries, lo, hi, squares):
     """The axiom in scan order over the subsets lo <= A < hi.
 
     Subsets ascend by bitmask; within a subset, pairs (b, c) ascend by
-    label position with b <= c.  The b = c diagonal is the single-element
-    check.  Swapping b and c gives the same square, so scanning ordered
-    pairs would locate the same first failure.  ``code`` numbers the
-    table's entries; ``entries`` maps numbers back.  Keys (tuples of
-    numbers) in ``pairs`` and ``squares`` are known to pass; any other
-    key is decided by check_m1 or check_square and added when it passes.
-    Returns the first violation, or None.
+    label position with b <= c.  The b = c diagonal is the degenerate
+    square (A, Ab, Ab, Ab), the single-element check, decided by
+    check_m1.  Swapping b and c gives the same square, so scanning
+    ordered pairs would locate the same first failure.  ``code`` numbers
+    the table's entries; ``entries`` maps numbers back.  Square keys
+    (tuples of numbers) in ``squares`` are known to pass; any other key
+    is decided and added when it passes.  Returns the first violation,
+    or None.
     """
     e = len(labels)
     for mask in range(lo, hi):
@@ -209,17 +209,15 @@ def _walk(labels, code, entries, lo, hi, pairs, squares):
         above = [code[mask | 1 << i] for i in outside]
         for x, bi in enumerate(outside):
             b = above[x]
-            if (a, b) not in pairs:
-                v = check_m1(entries[a], entries[b])
-                if not v.ok:
-                    return Violation(mask, labels[bi], labels[bi], v.kind, v.prime, v.index)
-                pairs.add((a, b))
             bmask = mask | 1 << bi
-            for y in range(x + 1, len(outside)):
+            for y in range(x, len(outside)):
                 ci = outside[y]
                 key = (a, b, above[y], code[bmask | 1 << ci])
                 if key not in squares:
-                    v = check_square(*(entries[n] for n in key))
+                    if y == x:
+                        v = check_m1(entries[a], entries[b])
+                    else:
+                        v = check_square(*(entries[n] for n in key))
                     if not v.ok:
                         return Violation(mask, labels[bi], labels[ci], v.kind, v.prime, v.index)
                     squares.add(key)
@@ -230,30 +228,28 @@ class _Memo:
     """What the certifier keeps between calls, under integer names.
 
     Groups are numbered in order of first sight, with their support
-    primes; the pair and square keys (tuples of group numbers) certified
-    to pass are kept.  Local modules are numbered too: ``local[p]`` maps
-    a group number to the number of its localization at p, or at the
-    generic point (its free part) for p None.  Stage 1-2 decisions are
-    kept per local pair and per (cap, local quadruple).  Tables that
-    share entries (a table and edited copies of it, say) share the
-    work.
+    primes; the square keys (tuples of group numbers, the degenerate
+    (A, Ab, Ab, Ab) among them) certified to pass are kept.  Local
+    modules are numbered too: ``local[p]`` maps a group number to the
+    number of its localization at p, or at the generic point (its free
+    part) for p None.  Stage 1-2 decisions are kept per (cap, local
+    quadruple).  Tables that share entries (a table and edited copies of
+    it, say) share the work.
     """
 
     def __init__(self):
         self.ids: dict[tuple, int] = {}
         self.groups: list[FgAbGroup] = []
         self.primes: list[tuple[int, ...]] = []
-        self.pairs: set[tuple] = set()
         self.squares: set[tuple] = set()
         self.mod_ids: dict[DMod, int] = {}
         self.mods: list[DMod] = []
         self.local: dict[int | None, dict[int, int]] = {None: {}}
-        self.m1: dict[tuple, bool] = {}
         self.square: dict[tuple, bool] = {}
 
     def size(self) -> int:
-        return (len(self.groups) + len(self.pairs) + len(self.squares) + len(self.mods)
-                + len(self.m1) + len(self.square) + sum(map(len, self.local.values())))
+        return (len(self.groups) + len(self.squares) + len(self.mods) + len(self.square)
+                + sum(map(len, self.local.values())))
 
     def number(self, table) -> list[int]:
         # keyed by (rank, factors), not by the group: a tuple hashes and
@@ -288,32 +284,19 @@ class _Memo:
                 of[i] = j
         return of
 
-    def screen(self, pairs: set[tuple], squares: set[tuple]) -> bool:
+    def screen(self, squares: set[tuple]) -> bool:
         """Certify new keys at stages 1-2: at the generic point, and at
         every prime of their entries (at any other prime a key's local
         modules are its free parts, as at the generic point).  Returns
         whether all of them passed."""
-        primes, mods = self.primes, self.mods
-        work = {None: (pairs, squares)}
-        for k in pairs:
-            for p in {*primes[k[0]], *primes[k[1]]}:
-                work.setdefault(p, ([], []))[0].append(k)
+        primes, mods, seen = self.primes, self.mods, self.square
+        work = {None: squares}
         for k in squares:
             for p in {*primes[k[0]], *primes[k[1]], *primes[k[2]], *primes[k[3]]}:
-                work.setdefault(p, ([], []))[1].append(k)
-        bad_pairs: set[tuple] = set()
-        bad_squares: set[tuple] = set()
-        for p, (ps, qs) in work.items():
-            of = self.localized(p, {i for k in ps for i in k}.union(*qs))
-            seen = self.m1
-            for k in ps:
-                key = of[k[0]], of[k[1]]
-                ok = seen.get(key)
-                if ok is None:
-                    ok = seen[key] = m1_failure_dvr(mods[key[0]], mods[key[1]]).ok
-                if not ok:
-                    bad_pairs.add(k)
-            seen = self.square
+                work.setdefault(p, []).append(k)
+        bad: set[tuple] = set()
+        for p, qs in work.items():
+            of = self.localized(p, set().union(*qs))
             cap = exact_cap(p)
             for k in qs:
                 key = cap, of[k[0]], of[k[1]], of[k[2]], of[k[3]]
@@ -321,10 +304,9 @@ class _Memo:
                 if ok is None:
                     ok = seen[key] = square_screen(cap, *(mods[j] for j in key[1:]))
                 if not ok:
-                    bad_squares.add(k)
-        self.pairs.update(pairs - bad_pairs)
-        self.squares.update(squares - bad_squares)
-        return not (bad_pairs or bad_squares)
+                    bad.add(k)
+        self.squares.update(squares - bad)
+        return not bad
 
 
 # Bound on what the certifier keeps between calls (groups, keys, local
@@ -341,12 +323,13 @@ def _avoiding(t: int, m: int) -> bytes:
 
 
 def _block_keys(code, lo, t, e):
-    """The distinct pair and square keys of the subsets A = lo + L,
-    L < 2^t (lo a multiple of 2^t), gathered from slices of ``code``.
+    """The distinct square keys of the subsets A = lo + L, L < 2^t (lo a
+    multiple of 2^t), gathered from slices of ``code``; b = c gives the
+    degenerate key (A, Ab, Ab, Ab) of the single-element check.
 
-    Slice entry L of the window at offset d is code[lo + d + L]; a pair
-    or square of labels with low bits m keeps the entries at the L
-    avoiding m.
+    Slice entry L of the window at offset d is code[lo + d + L]; a
+    square of labels with low bits m keeps the entries at the L avoiding
+    m.
     """
     size = 1 << t
     windows: dict[int, list[int]] = {}
@@ -360,29 +343,28 @@ def _block_keys(code, lo, t, e):
     free = [1 << i for i in range(e) if not lo >> i & 1]
     low = size - 1
     base = window(0)
-    pairs: set[tuple] = set()
     squares: set[tuple] = set()
     for x, b in enumerate(free):
         above_b = window(b)
-        pairs.update(compress(zip(base, above_b), _avoiding(t, b & low)))
-        for c in free[x + 1:]:
+        for c in free[x:]:
             squares.update(compress(zip(base, above_b, window(c), window(b | c)),
                                     _avoiding(t, (b | c) & low)))
-    return pairs, squares
+    return squares
 
 
 def _scan(labels, table, memo: _Memo) -> Verdict:
     """The axiom over the integers: a local-global certifier, then the
     scan order to name the first failure.
 
-    The subsets A ascend in at most 32 blocks.  A block's distinct pair
-    and square keys that no earlier call certified are screened at the
-    generic point (free ranks) and at each prime of their entries, at
-    stages 1-2 of the local decision (sequence conditions and summand
-    supply).  A key that passes everywhere passes check_square, so a
-    block whose keys all pass needs no more.  Otherwise the block is
-    walked in scan order, and the keys not certified go to check_m1 and
-    check_square, which may still pass them through the witness search.
+    The subsets A ascend in at most 32 blocks.  A block's distinct square
+    keys, the degenerate b = c ones included, that no earlier call
+    certified are screened at the generic point (free ranks) and at each
+    prime of their entries, at stages 1-2 of the local decision
+    (sequence conditions and summand supply).  A key that passes
+    everywhere passes check_square, so a block whose keys all pass needs
+    no more.  Otherwise the block is walked in scan order, and the keys
+    not certified go to check_m1 (b = c) and check_square, which may
+    still pass them through the witness search.
     The walk stops at the first violation, which is therefore the same,
     found by the same witness searches, as a walk over every key.
     """
@@ -390,10 +372,9 @@ def _scan(labels, table, memo: _Memo) -> Verdict:
     e = len(labels)
     t = max(e - 5, min(e, 3))  # blocks of 2^t subsets, at most 32 of them
     for lo in range(0, 1 << e, 1 << t):
-        pairs, squares = _block_keys(code, lo, t, e)
-        if memo.screen(pairs - memo.pairs, squares - memo.squares):
+        if memo.screen(_block_keys(code, lo, t, e) - memo.squares):
             continue
-        v = _walk(labels, code, memo.groups, lo, lo + (1 << t), memo.pairs, memo.squares)
+        v = _walk(labels, code, memo.groups, lo, lo + (1 << t), memo.squares)
         if v is not None:
             return Verdict(False, v)
     return Verdict(True)

@@ -131,9 +131,9 @@ def _drop_failure(hi: list[int], lo: list[int]) -> int | None:
 
 
 def m1_failure_dvr(src: DMod, dst: DMod) -> SquareVerdict:
-    top = _nmax(src, dst)
-    i = _drop_failure(d_seq(src, top), d_seq(dst, top))
-    return _OK if i is None else SquareVerdict(False, M1_LOCAL, None, i)
+    """The single-element test over a DVR: the degenerate square
+    (src, dst, dst, dst), which can fail only at an edge drop."""
+    return square_failure_dvr(src, dst, dst, dst)
 
 
 def square_failure_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> SquareVerdict:
@@ -361,14 +361,12 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
 
 @lru_cache(maxsize=1 << 18)
 def check_m1(src: FgAbGroup, dst: FgAbGroup) -> SquareVerdict:
-    """Does a surjection src -> dst with cyclic kernel exist over the integers?"""
-    if src.rank - dst.rank not in (0, 1):
-        return SquareVerdict(False, RANK_DROP)
-    for p in support_primes(src, dst):
-        f = m1_failure_dvr(localize(src, p), localize(dst, p))
-        if not f.ok:
-            return SquareVerdict(False, M1_LOCAL, p, f.index)
-    return _OK
+    """Does a surjection src -> dst with cyclic kernel exist over the
+    integers?  The degenerate square (src, dst, dst, dst), which has no
+    joint descent and so never reaches the witness search."""
+    # past check_square's cache, whose counts (read by perfbench/spans.py)
+    # stay those of the scan's own square calls
+    return check_square.__wrapped__(src, dst, dst, dst)
 
 
 def exact_cap(p: int | None) -> int:

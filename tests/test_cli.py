@@ -81,6 +81,14 @@ def test_check_rejects_torsion_free_non_matroid(run):
     assert code == 1 and out == "violation A={} b=a c=b: L2a n=1\n"
 
 
+def test_check_names_a_single_element_violation(run):
+    # Z/2+Z/2 -> 0 has a non-cyclic kernel: the b = c diagonal fails
+    doc = {"ground_set": ["a"], "modules": {
+        "": {"rank": 0, "torsion": [2, 2]}, "a": {"rank": 0, "torsion": []}}}
+    code, out, _ = run(["check"], doc)
+    assert code == 1 and out == "violation A={} b=a c=a: M1-local p=2 n=1\n"
+
+
 def test_check_internal_failure_exits_3(run, monkeypatch):
     code, doc, _ = run(["realize"], NO_WITNESS_REAL)
     assert code == 0
@@ -323,6 +331,15 @@ def test_missing_file(run, capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "x.log" in err
+
+
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: malformed JSON: ")
 
 
 @pytest.mark.parametrize("doc, code, out", [

@@ -82,9 +82,14 @@ def test_matroid_document_errors():
     doc["modules"]["1"] = {"rank": True}
     with pytest.raises(DocumentError, match="expected an integer"):
         parse_matroid_document(doc)
+    for bad in ("x", "1_0", " 7", "7 ", "+3", "\u0663", "-", ""):
+        doc = good_doc()
+        doc["modules"]["1"] = {"torsion": [bad]}
+        with pytest.raises(DocumentError, match="bad integer"):
+            parse_matroid_document(doc)
     doc = good_doc()
-    doc["modules"]["1"] = {"torsion": ["x"]}
-    with pytest.raises(DocumentError, match="bad integer"):
+    doc["modules"]["1"] = {"rank": "1_0"}
+    with pytest.raises(DocumentError, match="rank: bad integer"):
         parse_matroid_document(doc)
 
 

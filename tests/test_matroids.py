@@ -409,6 +409,28 @@ def test_first_failure_in_the_last_block():
     assert verdict.violation.describe(z.labels) == "A={d} b=b c=c: L2a p=2 n=1"
 
 
+@pytest.mark.parametrize("above, want", [
+    (FgAbGroup(0, (2, 2)), "M1-local p=2 n=1"),  # a non-cyclic kernel
+    (FgAbGroup(2), "rank-drop"),  # a free rank dropping by 2
+])
+def test_single_element_violation_is_named_on_the_diagonal(above, want):
+    m = ZMatroid(("a",), (above, TRIVIAL))
+    verdict = is_matroid(m)
+    assert verdict == naive_scan(m.labels, m.table, check_m1, check_square)
+    assert verdict.violation.describe(m.labels) == f"A={{}} b=a c=a: {want}"
+
+
+def test_diagonal_violation_in_a_realized_table():
+    # two free summands added to M({a}): its rank now exceeds M({})'s
+    m = from_realization(random_realization(random.Random(5), max_dim=4, n_labels=3))
+    table = list(m.table)
+    table[1] = FgAbGroup(table[1].rank + 2, table[1].factors)
+    z = ZMatroid(m.labels, tuple(table))
+    verdict = is_matroid(z)
+    assert verdict == naive_scan(z.labels, z.table, check_m1, check_square)
+    assert verdict.violation.describe(z.labels) == "A={} b=a c=a: rank-drop"
+
+
 def test_ok_table_whose_squares_reach_the_witness_search(monkeypatch):
     found = []
     search = surjections._witness_search

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement, product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,3 +144,40 @@ def test_identity_square_always_exists(rank, factors):
     n = canonicalize(factors, rank)
     assert check_square(n, n, n, n).ok
     assert check_m1(n, n).ok
+
+
+def partitions(n, most=None):
+    """Partitions of n as nonincreasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def test_single_element_check_is_the_degenerate_square():
+    # b = c in the axiom: (N, N', N', N') asks for exactly a surjection
+    # N -> N' with cyclic kernel, with the same located failure
+    groups = {canonicalize([p**k for k in parts])
+              for p, top in ((2, 6), (3, 3), (5, 2), (7, 2))
+              for n in range(top + 1) for parts in partitions(n)}
+    groups |= {canonicalize(list(fs), r) for r in range(3)
+               for fs in ((), (6,), (2, 12), (4,), (30,))}
+    assert len(groups) == 55
+    for s, d in product(sorted(groups, key=repr), repeat=2):
+        assert check_m1(s, d) == check_square(s, d, d, d), (s, d)
+    mods = [DMod(r, exps) for r in range(3) for k in range(4)
+            for exps in combinations_with_replacement(range(4, 0, -1), k)]
+    assert len(mods) == 105
+    for a, b in product(mods, repeat=2):
+        assert m1_failure_dvr(a, b) == square_failure_dvr(a, b, b, b), (a, b)
+
+
+def test_single_element_check_leaves_the_square_cache_alone():
+    # the benchmark's traced runs require the square cache's call count
+    # to equal the calls into check_square from the scan
+    check_m1.cache_clear()
+    check_square.cache_clear()
+    assert not check_m1(fg(0, (2, 2)), TRIVIAL).ok
+    assert check_square.cache_info().hits + check_square.cache_info().misses == 0
