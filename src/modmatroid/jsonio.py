@@ -32,18 +32,25 @@ def _encode_int(n: int):
     return str(n) if abs(n) >= BIG else n
 
 
+def _quote(x) -> str:
+    """repr(x), with the middle of a long one cut out: a rejected value
+    can be megabytes long."""
+    r = repr(x)
+    return r if len(r) <= 60 else f"{r[:28]}...{r[-28:]} ({len(r)} characters)"
+
+
 def _decode_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise DocumentError(f"{what}: expected an integer, got {x!r}")
+        raise DocumentError(f"{what}: expected an integer, got {_quote(x)}")
     if isinstance(x, str):
         # a decimal string: no sign but "-", no spaces, "_" or non-ASCII digits
         digits = x[1:] if x.startswith("-") else x
         if not (digits.isascii() and digits.isdigit()):
-            raise DocumentError(f"{what}: bad integer {x!r}")
+            raise DocumentError(f"{what}: bad integer {_quote(x)}")
     try:
         return int(x)
     except ValueError:  # past the interpreter's limit on digits
-        raise DocumentError(f"{what}: bad integer {x!r}") from None
+        raise DocumentError(f"{what}: bad integer {_quote(x)}") from None
 
 
 def _check_labels(ground: Any) -> tuple[str, ...]:

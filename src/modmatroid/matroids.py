@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import random
 import string
-from functools import lru_cache
-from itertools import compress
 
 from .abgroups import (
     DMod,
@@ -189,7 +187,7 @@ def from_realization(r: Realization) -> ZMatroid:
     return ZMatroid(r.labels, tuple(table), verified=True)
 
 
-def _walk(labels, code, entries, lo, hi, squares):
+def _walk(labels, code, entries, lo, hi, bad, passed):
     """The axiom in scan order over the subsets lo <= A < hi.
 
     Subsets ascend by bitmask; within a subset, pairs (b, c) ascend by
@@ -197,10 +195,10 @@ def _walk(labels, code, entries, lo, hi, squares):
     square (A, Ab, Ab, Ab), the single-element check, decided by
     check_m1.  Swapping b and c gives the same square, so scanning
     ordered pairs would locate the same first failure.  ``code`` numbers
-    the table's entries; ``entries`` maps numbers back.  Square keys
-    (tuples of numbers) in ``squares`` are known to pass; any other key
-    is decided and added when it passes.  Returns the first violation,
-    or None.
+    the table's entries; ``entries`` maps numbers back.  Only square
+    keys (tuples of numbers) in ``bad`` are decided, all others being
+    known to pass; a key that passes moves from ``bad`` to ``passed``.
+    Returns the first violation, or None.
     """
     e = len(labels)
     for mask in range(lo, hi):
@@ -213,42 +211,71 @@ def _walk(labels, code, entries, lo, hi, squares):
             for y in range(x, len(outside)):
                 ci = outside[y]
                 key = (a, b, above[y], code[bmask | 1 << ci])
-                if key not in squares:
+                if key in bad:
                     if y == x:
                         v = check_m1(entries[a], entries[b])
                     else:
                         v = check_square(*(entries[n] for n in key))
                     if not v.ok:
                         return Violation(mask, labels[bi], labels[ci], v.kind, v.prime, v.index)
-                    squares.add(key)
+                    bad.discard(key)
+                    passed.add(key)
     return None
+
+
+def _inside(k: int):
+    """The index tuples of the keys that lie inside one node of 2^k
+    leaves: the squares (L, Lb, Lc, Lbc), b <= c, and the edges (L, Lb),
+    the L avoiding b and c."""
+    bits = [1 << i for i in range(k)]
+    squares = [(L, L | b, L | c, L | b | c) for x, b in enumerate(bits) for c in bits[x:]
+               for L in range(1 << k) if not L & (b | c)]
+    edges = [(L, L | b) for b in bits for L in range(1 << k) if not L & b]
+    return squares, edges
+
+
+# Nodes up to this level are kept as their tuples of leaves and their keys
+# gathered inline; tuples of nodes at this level and above are memoized.
+_BASE = 3
+_INSIDE = [_inside(k) for k in range(_BASE + 1)]
 
 
 class _Memo:
     """What the certifier keeps between calls, under integer names.
 
     Groups are numbered in order of first sight, with their support
-    primes; the square keys (tuples of group numbers, the degenerate
-    (A, Ab, Ab, Ab) among them) certified to pass are kept.  Local
-    modules are numbered too: ``local[p]`` maps a group number to the
-    number of its localization at p, or at the generic point (its free
-    part) for p None.  Stage 1-2 decisions are kept per (cap, local
-    quadruple).  Tables that share entries (a table and edited copies of
-    it, say) share the work.
+    primes.  Equal subcubes of tables are shared in a subset tree: a
+    node at level k stands for 2^k consecutive entries (the subsets
+    L + offset, L < 2^k); up to level 3 it is keyed by its tuple of
+    entry numbers, above it by the pair of its halves, and ``nodes[k]``
+    numbers the level's nodes (``kids[k]`` maps numbers back).  Square
+    keys (tuples of group numbers, the degenerate (A, Ab, Ab, Ab) among
+    them) are gathered from tuples of nodes (``block_keys``); ``done``
+    holds the tuples of level 3 and above whose keys are all certified
+    to pass, and ``passed`` the keys that passed only through the full
+    decision.  Local modules are numbered too: ``local[p]`` maps a group
+    number to the number of its localization at p, or at the generic
+    point (its free part) for p None.  Stage 1-2 decisions are kept per
+    (cap, local quadruple).  Tables that share entries or subcubes (a
+    table and edited copies of it, say) share the work.
     """
 
     def __init__(self):
         self.ids: dict[tuple, int] = {}
         self.groups: list[FgAbGroup] = []
         self.primes: list[tuple[int, ...]] = []
-        self.squares: set[tuple] = set()
+        self.nodes: list[dict[tuple, int]] = [{} for _ in range(MAX_GROUND + 1)]
+        self.kids: list[list[tuple]] = [[] for _ in range(MAX_GROUND + 1)]
+        self.done: set[tuple] = set()
+        self.passed: set[tuple] = set()
         self.mod_ids: dict[DMod, int] = {}
         self.mods: list[DMod] = []
         self.local: dict[int | None, dict[int, int]] = {None: {}}
         self.square: dict[tuple, bool] = {}
 
     def size(self) -> int:
-        return (len(self.groups) + len(self.squares) + len(self.mods) + len(self.square)
+        return (len(self.groups) + sum(map(len, self.kids)) + len(self.done)
+                + len(self.passed) + len(self.mods) + len(self.square)
                 + sum(map(len, self.local.values())))
 
     def number(self, table) -> list[int]:
@@ -267,6 +294,101 @@ class _Memo:
             code = list(map(ids.__getitem__, keys))
         return code
 
+    def tree(self, code: list[int], t: int) -> list[int]:
+        """The level-t nodes of the entry numbers ``code``, one per block
+        of 2^t subsets, numbering the nodes not seen before."""
+        base = min(t, _BASE)
+        row = list(zip(*[iter(code)] * (1 << base)))
+        for k in range(base, t + 1):
+            if k > base:
+                row = list(zip(row[::2], row[1::2]))
+            ids, kids = self.nodes[k], self.kids[k]
+            for key in set(row).difference(ids):
+                ids[key] = len(kids)
+                kids.append(key)
+            row = list(map(ids.__getitem__, row))
+        return row
+
+    def block_keys(self, top: list[int], t: int, e: int, j: int, new: list) -> set[tuple]:
+        """The square keys of block j (the subsets j * 2^t + L, L < 2^t)
+        that lie under no tuple in ``done``.
+
+        P(w, x, y, z) gives the aligned leaves of four nodes, E(x, y) the
+        squares with b inside x and c the label that takes x to y, and
+        S(n) the squares inside n:
+
+            E(x, y) = E(x0, y0) + E(x1, y1) + P(x0, x1, y0, y1)
+            S(n) = S(n0) + S(n1) + E(n0, n1) + P(n0, n1, n1, n1)
+
+        the last term being the degenerate b = c.  The block is S of its
+        node, with E and the degenerate P for each free label c above
+        the block's, and P for each pair b < c of them.  The tuples of
+        level 3 and above visited here are added to ``done`` and to
+        ``new``: the caller removes them again unless every key passes.
+        """
+        base = min(t, _BASE)
+        kids, leaves = self.kids, self.kids[base]
+        seen = self.done if t >= _BASE else set()
+        squares, edges = _INSIDE[base]
+        out: set[tuple] = set()
+
+        def P(k, w, x, y, z):
+            key = (k, w, x, y, z)
+            if key in seen:
+                return
+            seen.add(key)
+            new.append(key)
+            if k == base:
+                out.update(zip(leaves[w], leaves[x], leaves[y], leaves[z]))
+                return
+            up = kids[k]
+            (w0, w1), (x0, x1), (y0, y1), (z0, z1) = up[w], up[x], up[y], up[z]
+            P(k - 1, w0, x0, y0, z0)
+            P(k - 1, w1, x1, y1, z1)
+
+        def E(k, x, y):
+            key = (k, x, y)
+            if key in seen:
+                return
+            seen.add(key)
+            new.append(key)
+            if k == base:
+                lx, ly = leaves[x], leaves[y]
+                out.update([(lx[i], lx[j], ly[i], ly[j]) for i, j in edges])
+                return
+            up = kids[k]
+            (x0, x1), (y0, y1) = up[x], up[y]
+            E(k - 1, x0, y0)
+            E(k - 1, x1, y1)
+            P(k - 1, x0, x1, y0, y1)
+
+        def S(k, n):
+            key = (k, n)
+            if key in seen:
+                return
+            seen.add(key)
+            new.append(key)
+            if k == base:
+                ln = leaves[n]
+                out.update([(ln[a], ln[b], ln[c], ln[d]) for a, b, c, d in squares])
+                return
+            n0, n1 = kids[k][n]
+            S(k - 1, n0)
+            S(k - 1, n1)
+            E(k - 1, n0, n1)
+            P(k - 1, n0, n1, n1, n1)
+
+        a, lo = top[j], j << t
+        S(t, a)
+        high = [1 << i - t for i in range(t, e) if not lo >> i & 1]
+        for x, c in enumerate(high):
+            ac = top[j | c]
+            E(t, a, ac)
+            P(t, a, ac, ac, ac)
+            for b in high[:x]:
+                P(t, a, top[j | b], ac, top[j | b | c])
+        return out
+
     def localized(self, p: int | None, gids) -> dict[int, int]:
         of = self.local.setdefault(p, {})
         generic = self.local[None]
@@ -284,11 +406,11 @@ class _Memo:
                 of[i] = j
         return of
 
-    def screen(self, squares: set[tuple]) -> bool:
-        """Certify new keys at stages 1-2: at the generic point, and at
-        every prime of their entries (at any other prime a key's local
-        modules are its free parts, as at the generic point).  Returns
-        whether all of them passed."""
+    def screen(self, squares: set[tuple]) -> set[tuple]:
+        """Stages 1-2 for the keys: at the generic point, and at every
+        prime of their entries (at any other prime a key's local modules
+        are its free parts, as at the generic point).  Returns the keys
+        that did not pass everywhere."""
         primes, mods, seen = self.primes, self.mods, self.square
         work = {None: squares}
         for k in squares:
@@ -305,77 +427,51 @@ class _Memo:
                     ok = seen[key] = square_screen(cap, *(mods[j] for j in key[1:]))
                 if not ok:
                     bad.add(k)
-        self.squares.update(squares - bad)
-        return not bad
+        return bad
 
 
-# Bound on what the certifier keeps between calls (groups, keys, local
-# modules and decisions), as for the check_square cache; checked after
-# each call.
+# Bound on what the certifier keeps between calls (groups, tree nodes,
+# certified tuples, keys, local modules and decisions), as for the
+# check_square cache; checked after each call.
 _MEMO_BOUND = 1 << 18
 _memo = _Memo()
-
-
-@lru_cache(maxsize=1 << 10)  # t <= 11 and m has at most two bits: about 300 keys
-def _avoiding(t: int, m: int) -> bytes:
-    """Marks of the L < 2^t that share no bit with m."""
-    return bytes(not L & m for L in range(1 << t))
-
-
-def _block_keys(code, lo, t, e):
-    """The distinct square keys of the subsets A = lo + L, L < 2^t (lo a
-    multiple of 2^t), gathered from slices of ``code``; b = c gives the
-    degenerate key (A, Ab, Ab, Ab) of the single-element check.
-
-    Slice entry L of the window at offset d is code[lo + d + L]; a
-    square of labels with low bits m keeps the entries at the L avoiding
-    m.
-    """
-    size = 1 << t
-    windows: dict[int, list[int]] = {}
-
-    def window(d: int) -> list[int]:
-        w = windows.get(d)
-        if w is None:
-            w = windows[d] = code[lo + d:lo + d + size]
-        return w
-
-    free = [1 << i for i in range(e) if not lo >> i & 1]
-    low = size - 1
-    base = window(0)
-    squares: set[tuple] = set()
-    for x, b in enumerate(free):
-        above_b = window(b)
-        for c in free[x:]:
-            squares.update(compress(zip(base, above_b, window(c), window(b | c)),
-                                    _avoiding(t, (b | c) & low)))
-    return squares
 
 
 def _scan(labels, table, memo: _Memo) -> Verdict:
     """The axiom over the integers: a local-global certifier, then the
     scan order to name the first failure.
 
-    The subsets A ascend in at most 32 blocks.  A block's distinct square
-    keys, the degenerate b = c ones included, that no earlier call
-    certified are screened at the generic point (free ranks) and at each
-    prime of their entries, at stages 1-2 of the local decision
-    (sequence conditions and summand supply).  A key that passes
-    everywhere passes check_square, so a block whose keys all pass needs
-    no more.  Otherwise the block is walked in scan order, and the keys
-    not certified go to check_m1 (b = c) and check_square, which may
-    still pass them through the witness search.
-    The walk stops at the first violation, which is therefore the same,
-    found by the same witness searches, as a walk over every key.
+    The subsets A ascend in at most 32 blocks of 2^t.  A block's square
+    keys, the degenerate b = c ones included, are gathered from the
+    memo's subset tree, skipping the tuples of nodes certified before
+    (by this call or an earlier one, on this table or one sharing its
+    subcubes) and the keys that passed the full decision before.  They
+    are screened at the generic point (free ranks) and at each prime of
+    their entries, at stages 1-2 of the local decision (sequence
+    conditions and summand supply).  A key that passes everywhere
+    passes check_square, so a block whose keys all pass needs no more.
+    Otherwise the block is walked in scan order, and the keys that
+    failed the screen go to check_m1 (b = c) and check_square, which may
+    still pass them through the witness search.  The walk stops at the
+    first violation, which is therefore the same, found by the same
+    witness searches, as a walk over every key; the block's tuples are
+    then not kept as certified.
     """
     code = memo.number(table)
     e = len(labels)
     t = max(e - 5, min(e, 3))  # blocks of 2^t subsets, at most 32 of them
-    for lo in range(0, 1 << e, 1 << t):
-        if memo.screen(_block_keys(code, lo, t, e) - memo.squares):
+    top = memo.tree(code, t)
+    for j in range(len(top)):
+        new: list[tuple] = []
+        keys = memo.block_keys(top, t, e, j, new)
+        keys.difference_update(memo.passed)
+        bad = memo.screen(keys)
+        if not bad:
             continue
-        v = _walk(labels, code, memo.groups, lo, lo + (1 << t), memo.squares)
+        lo = j << t
+        v = _walk(labels, code, memo.groups, lo, lo + (1 << t), bad, memo.passed)
         if v is not None:
+            memo.done.difference_update(new)
             return Verdict(False, v)
     return Verdict(True)
 

@@ -107,8 +107,10 @@ def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
     then B minus A in label order.  Every instance of one class (X, Z)
     has the same terms, so each class with |Z| >= |X| + 2 is decided
     once, and only a violating class expands into its instances, listed
-    in (A, B, a) order.  ``size`` restricts A and B to subsets of that
-    size, that is |X| = size - 1 and |Z| = size + 1.
+    in (A, B, a) order.  A class with X in Z and |Z| = |X| + 2 has two
+    terms, both p[X + c] + p[X + c'], so it always holds and is skipped.
+    ``size`` restricts A and B to subsets of that size, that is
+    |X| = size - 1 and |Z| = size + 1.
     """
     p = h.values
     lab = h.labels
@@ -122,16 +124,20 @@ def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
     # the bit positions of every subset, and its heights with one bit flipped
     pos = [[i for i in range(e) if m >> i & 1] for m in subsets(e)]
     flip = [[p[m ^ 1 << i] for i in range(e)] for m in subsets(e)]
+    full = (1 << e) - 1
     by_size = [[] for _ in range(e + 1)]
     for m in subsets(e):
         by_size[len(pos[m])].append(m)
     found = []
     for k, z_sizes in walks:
+        near = set(by_size[k + 2])
         for x in by_size[k]:
             up = flip[x]  # p[X + c] for c outside X
             outside = ~x
+            # the Z = X + c + c', whose two terms p[X + c] + p[X + c'] agree
+            two = [x | 1 << b | 1 << c for b, c in combinations(pos[full ^ x], 2)]
             for z_size in z_sizes:
-                for z in by_size[z_size]:
+                for z in by_size[z_size] if z_size > k + 2 else near.difference(two):
                     down = flip[z]  # p[Z - c] for c in Z
                     terms = [up[c] + down[c] for c in pos[z & outside]]
                     if terms.count(min(terms)) < 2:  # all-INF terms count in full

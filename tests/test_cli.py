@@ -342,6 +342,20 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
     assert captured.err.startswith("error: malformed JSON: ")
 
 
+@pytest.mark.parametrize("value, quoted", [
+    ("7" * 5000, "'" + "7" * 27 + "..." + "7" * 27 + "' (5002 characters)"),
+    (list(range(3000)), "[0, 1, 2, 3, 4, 5, 6, 7, 8, ...995, 2996, 2997, 2998, 2999] (16890 characters)"),
+], ids=["5000-digit-string", "3000-item-list"])
+def test_huge_rejected_value_is_quoted_short(run, value, quoted):
+    # a 5,000-digit string is past the interpreter's 4,300-digit int limit
+    doc = json.loads(json.dumps(GOOD_MATROID))
+    doc["modules"]["1"]["torsion"] = [value]
+    code, out, err = run(["check"], doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error: subset '1' torsion: ") and err.endswith(f"{quoted}\n")
+    assert len(err) < 150
+
+
 @pytest.mark.parametrize("doc, code, out", [
     (GOOD_MATROID, 0, "OK\n"),
     (BAD_MATROID, 1, "violation A={} b=1 c=2: L2a p=2 n=1\n"),

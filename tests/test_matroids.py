@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -340,6 +341,132 @@ def test_scan_matches_naive_reference(kind, where):
         assert is_matroid(z) == want
 
 
+def slice_keys(code, lo, t, e):
+    """The square keys of the subsets lo + L, L < 2^t, gathered from
+    slices of ``code``: the slice at offset d holds code[lo + d + L], and
+    a square whose labels have low bits m keeps the L avoiding m."""
+    size = 1 << t
+    window = lambda d: code[lo + d:lo + d + size]  # noqa: E731
+    free = [1 << i for i in range(e) if not lo >> i & 1]
+    keys = set()
+    for x, b in enumerate(free):
+        for c in free[x:]:
+            avoid = [not L & (b | c) & (size - 1) for L in range(size)]
+            keys.update(itertools.compress(
+                zip(window(0), window(b), window(c), window(b | c)), avoid))
+    return keys
+
+
+def node_leaves(memo, k, n):
+    """The entry numbers under node n of level k, in subset order."""
+    if k <= matroids._BASE:
+        return list(memo.kids[k][n])
+    n0, n1 = memo.kids[k][n]
+    return node_leaves(memo, k - 1, n0) + node_leaves(memo, k - 1, n1)
+
+
+def tuple_keys(memo, tup):
+    """The square keys under a memoized tuple of nodes, by positions:
+    (k, n) the squares inside n, (k, x, y) those with b inside x and c
+    the label taking x to y, (k, w, x, y, z) the aligned leaves."""
+    k, *nodes = tup
+    leaves = [node_leaves(memo, k, n) for n in nodes]
+    size = 1 << k
+    if len(leaves) == 4:
+        return set(zip(*leaves))
+    bits = [1 << i for i in range(k)]
+    if len(leaves) == 2:
+        x, y = leaves
+        return {(x[L], x[L | b], y[L], y[L | b]) for b in bits for L in range(size) if not L & b}
+    n, = leaves
+    return {(n[L], n[L | b], n[L | c], n[L | b | c]) for i, b in enumerate(bits)
+            for c in bits[i:] for L in range(size) if not L & (b | c)}
+
+
+def check_gathering(memo, table, e):
+    """Every block's tree keys against the slice gathering: all of them
+    with nothing certified, and with the memo's certified tuples the
+    tree keys plus the keys under those tuples.  A block whose keys pass
+    the screen keeps its tuples, as in a scan."""
+    code = memo.number(table)
+    t = max(e - 5, min(e, 3))
+    top = memo.tree(code, t)
+    under = {}
+    for j in range(len(top)):
+        want = slice_keys(code, j << t, t, e)
+        kept, memo.done = memo.done, set()
+        assert memo.block_keys(top, t, e, j, []) == want
+        memo.done = kept
+        for tup in kept:
+            if tup not in under:
+                under[tup] = tuple_keys(memo, tup)
+        covered = set().union(*under.values())
+        new = []
+        got = memo.block_keys(top, t, e, j, new)
+        assert got <= want <= got | covered
+        if memo.screen(got):
+            memo.done.difference_update(new)
+
+
+def gathering_tables():
+    """Fixed-seed tables on 0-9 labels: realized, over prime-power
+    ambients, with one entry perturbed, and with every entry equal."""
+    rng = random.Random("gathering")
+    for e in range(10):
+        real = random_realization(rng, max_dim=4, n_labels=e)
+        m = from_realization(real)
+        yield m.labels, m.table
+        n = len(real.relations)
+        rel = [[2 ** rng.randint(1, 4) if i == j else 0 for j in range(n)] for i in range(n)]
+        yield m.labels, from_realization(Realization(real.labels, rel, real.vectors)).table
+        table = list(m.table)
+        mask = rng.randrange(len(table))
+        table[mask] = changed(table[mask], rng.choice(("rank", "torsion", "deepen")), 2)
+        yield m.labels, tuple(table)
+        yield m.labels, m.table
+        yield m.labels, (FgAbGroup(1, (2,)),) * (1 << e)
+
+
+def test_tree_keys_match_slice_gathering():
+    warm = matroids._Memo()
+    for labels, table in gathering_tables():
+        e = len(labels)
+        check_gathering(matroids._Memo(), table, e)
+        check_gathering(copy.deepcopy(warm), table, e)
+        matroids._scan(labels, table, warm)
+        check_gathering(copy.deepcopy(warm), table, e)
+
+
+def test_edited_copies_through_one_memo():
+    # a base table and 54 one-entry edits, each scanned twice through one
+    # memo: the second scan of a rejected copy finds its failing block's
+    # tuples uncertified again
+    rng = random.Random("edits")
+    rel = [[rng.choice((4, 8, 9, 27, 12, 18)) if i == j else 0 for j in range(4)]
+           for i in range(4)]
+    vectors = [[rng.randint(-9, 9) for _ in range(9)] for _ in range(4)]
+    base = from_realization(Realization(tuple("abcdefghi"), rel, vectors))
+    tables = [base.table]
+    size = len(base.table)
+    for kind in ("rank", "torsion", "deepen"):
+        for third in range(3):
+            for _ in range(6):
+                table = list(base.table)
+                mask = rng.randrange(size * third // 3, size * (third + 1) // 3)
+                table[mask] = changed(table[mask], kind, rng.choice((2, 3)))
+                tables.append(tuple(table))
+    memo = matroids._Memo()
+    rejected = 0
+    for table in tables:
+        want = naive_scan(base.labels, table, check_m1, check_square)
+        assert matroids._scan(base.labels, table, matroids._Memo()) == want
+        for _ in range(2):
+            assert matroids._scan(base.labels, table, memo) == want
+        rejected += not want.ok
+    assert rejected >= 40
+    assert memo.size() < sum(map(len, tables))
+
+
 def test_torsion_free_tables_are_matroid_rank_functions():
     # with no torsion the axiom is exactly: r(S) = rank(empty) - rank(S) is
     # a matroid rank function; every table of ranks 0..2 on 3 labels
@@ -452,6 +579,19 @@ def test_certifier_memo_is_bounded(monkeypatch):
     for _ in range(2):
         assert is_matroid(ZMatroid(m.labels, m.table)).ok
         assert matroids._memo.size() <= 50
+    # the size counts tree nodes and certified tuples: a 5-label table of
+    # equal entries keeps one group, one level-3 node, the tuples S, E and
+    # the degenerate P of that node, one local module at the generic
+    # point and one local decision, 8 items, so a bound of 7 drops it
+    monkeypatch.setattr(matroids, "_memo", matroids._Memo())
+    equal = ZMatroid(tuple("abcde"), (FgAbGroup(1),) * 32)
+    assert is_matroid(equal).ok
+    memo = matroids._memo
+    assert sum(map(len, memo.kids)) == 1 and len(memo.done) == 3
+    assert memo.size() == 8
+    monkeypatch.setattr(matroids, "_MEMO_BOUND", 7)
+    assert is_matroid(equal).ok
+    assert matroids._memo is not memo and matroids._memo.size() == 0
 
 
 def test_certifier_memo_is_dropped_when_a_scan_raises(monkeypatch):
