@@ -40,8 +40,8 @@ from .matroids import (
     from_realization,
     is_matroid,
     localize_matroid,
-    subset_key,
-    subsets,
+    map_shared,
+    subset_keys,
     verify,
 )
 from .oracle import abelian_p_groups, pushout_oracle, surjection_oracle
@@ -255,8 +255,7 @@ def main(argv=None) -> int:
         if cmd == "qam":
             m = _verified(args.input)
             q = to_qam(m)
-            for s in subsets(len(q.labels)):
-                key = subset_key(q.labels, s)
+            for s, key in enumerate(subset_keys(q.labels)):
                 print(f"A={{{key}}} rk={q.rk[s]} m={q.mult[s]}")
             verdict = check_axioms(q)
             if verdict.ok:
@@ -268,12 +267,8 @@ def main(argv=None) -> int:
         if cmd == "localize":
             m = _load_matroid(args.input)
             local = localize_matroid(m, args.p)
-            as_groups = ZMatroid(
-                local.labels,
-                tuple(
-                    _as_group(d, args.p) for d in local.table
-                ),
-            )
+            table = map_shared(lambda d: _as_group(d, args.p), local.table)
+            as_groups = ZMatroid(local.labels, tuple(table))
             print(dumps(emit_matroid_document(as_groups)))
             return 0
 

@@ -6,7 +6,8 @@ empty subset keys as "").  A realization document lists the ambient
 relation columns and one generator column per label.  Integers whose
 magnitude reaches 2^53 are serialized as decimal strings so that readers
 with double-precision parsers cannot truncate them; both forms are
-accepted on input.
+accepted on input.  An integer with more decimal digits than the
+interpreter converts (4,300 by default) is refused both ways.
 
 Parsing canonicalizes (torsion chains are merged, with a warning when
 that changed anything) and emitting is deterministic, so emit-then-parse
@@ -16,10 +17,12 @@ is the identity on canonical documents.
 from __future__ import annotations
 
 import json
+import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .abgroups import FgAbGroup, canonicalize
-from .matroids import MAX_GROUND, Realization, ZMatroid, subset_key, subsets
+from .matroids import MAX_GROUND, Realization, ZMatroid, map_shared, subset_keys
 
 BIG = 1 << 53
 
@@ -28,8 +31,25 @@ class DocumentError(ValueError):
     pass
 
 
-def _encode_int(n: int):
-    return str(n) if abs(n) >= BIG else n
+def _encode_ints(ns, where) -> list:
+    """Integers in document form, strings from 2^53 on.  Parsing refuses
+    a string past the interpreter's limit on digits, so emitting does
+    too; ``where()`` names the integers in that error."""
+    out = []
+    for n in ns:
+        if -BIG < n < BIG:
+            out.append(n)
+            continue
+        try:
+            out.append(str(n))
+        except ValueError:
+            from decimal import Decimal  # counts the digits exactly; only here, for start-up
+
+            raise DocumentError(
+                f"{where()}: an integer of {Decimal(n).adjusted() + 1} digits, past the "
+                f"{sys.get_int_max_str_digits()}-digit limit on document integers"
+            ) from None
+    return out
 
 
 def _quote(x) -> str:
@@ -66,51 +86,79 @@ def _check_labels(ground: Any) -> tuple[str, ...]:
     return tuple(ground)
 
 
+def _decode_entry(key: str, entry: dict) -> tuple[FgAbGroup, bool]:
+    """The group of one entry and whether canonicalizing changed its torsion."""
+    rank = _decode_int(entry.get("rank", 0), f"subset {key!r} rank")
+    if rank < 0:
+        raise DocumentError(f"subset {key!r}: negative rank")
+    torsion = entry.get("torsion", [])
+    if not isinstance(torsion, list):
+        raise DocumentError(f"subset {key!r}: torsion must be a list")
+    orders = [_decode_int(t, f"subset {key!r} torsion") for t in torsion]
+    if any(t == 0 for t in orders):
+        raise DocumentError(f"subset {key!r}: torsion orders must be nonzero")
+    g = canonicalize(orders, rank)
+    return g, g.factors != tuple(orders)
+
+
 def parse_matroid_document(doc: Any) -> tuple[ZMatroid, list[str]]:
-    """Build the table; returns warnings for entries that needed canonicalizing."""
+    """Build the table; returns warnings for entries that needed canonicalizing.
+
+    Subsets are read in mask order.  Entries whose rank and torsion values
+    are alike, types included, are decoded once and share one group.
+    """
     if not isinstance(doc, dict):
         raise DocumentError("matroid document must be a JSON object")
     labels = _check_labels(doc.get("ground_set"))
     modules = doc.get("modules")
     if not isinstance(modules, dict):
         raise DocumentError("modules must be an object keyed by subset")
-    expected = {subset_key(labels, s): s for s in subsets(len(labels))}
-    unknown = set(modules) - set(expected)
+    keys = subset_keys(labels)
+    unknown = modules.keys() - set(keys)
     if unknown:
-        raise DocumentError(f"unknown subset key {sorted(unknown)[0]!r}")
+        raise DocumentError(f"unknown subset key {min(unknown)!r}")
     warnings = []
-    table: list[FgAbGroup | None] = [None] * (1 << len(labels))
-    for key, mask in expected.items():
-        if key not in modules:
-            raise DocumentError(f"missing subset {key!r}")
-        entry = modules[key]
+    table = []
+    decoded = {}  # raw entry values and their types -> (group, canonicalized)
+    for key in keys:
+        try:
+            entry = modules[key]
+        except KeyError:
+            raise DocumentError(f"missing subset {key!r}") from None
         if not isinstance(entry, dict):
             raise DocumentError(f"subset {key!r}: entry must be an object")
-        rank = _decode_int(entry.get("rank", 0), f"subset {key!r} rank")
-        if rank < 0:
-            raise DocumentError(f"subset {key!r}: negative rank")
+        rank = entry.get("rank", 0)
         torsion = entry.get("torsion", [])
-        if not isinstance(torsion, list):
-            raise DocumentError(f"subset {key!r}: torsion must be a list")
-        orders = [_decode_int(t, f"subset {key!r} torsion") for t in torsion]
-        if any(t == 0 for t in orders):
-            raise DocumentError(f"subset {key!r}: torsion orders must be nonzero")
-        g = canonicalize(orders, rank)
-        if g.factors != tuple(orders):
+        try:
+            raw = (rank, rank.__class__, torsion.__class__, *torsion, *map(type, torsion))
+            hit = decoded.get(raw)
+        except TypeError:  # torsion not iterable, or a list or object among the values
+            raw = hit = None
+        if hit is None:
+            hit = _decode_entry(key, entry)
+            if raw is not None:
+                decoded[raw] = hit
+        g, canonicalized = hit
+        if canonicalized:
             warnings.append(f"subset {key!r}: torsion canonicalized to {list(g.factors)}")
-        table[mask] = g
+        table.append(g)
     return ZMatroid(labels, tuple(table)), warnings
 
 
 def emit_matroid_document(m: ZMatroid) -> dict:
-    modules = {}
-    for s in subsets(len(m.labels)):
-        g = m.table[s]
-        modules[subset_key(m.labels, s)] = {
-            "rank": g.rank,
-            "torsion": [_encode_int(f) for f in g.factors],
-        }
-    return {"ground_set": list(m.labels), "modules": modules}
+    """The document of a table; subsets with equal groups share one entry object."""
+    keys = subset_keys(m.labels)
+    entries = {}  # group -> its entry
+
+    def entry(g: FgAbGroup) -> dict:
+        e = entries.get(g)
+        if e is None:
+            where = lambda: f"subset {keys[m.table.index(g)]!r} torsion"
+            e = entries[g] = {"rank": g.rank, "torsion": _encode_ints(g.factors, where)}
+        return e
+
+    return {"ground_set": list(m.labels),
+            "modules": dict(zip(keys, map_shared(entry, m.table)))}
 
 
 def _columns(value: Any, what: str) -> list[list[int]]:
@@ -147,22 +195,42 @@ def emit_realization_document(r: Realization) -> dict:
     m = len(r.relations[0]) if n else 0
     return {
         "ambient_relations": [
-            [_encode_int(r.relations[i][k]) for i in range(n)] for k in range(m)
+            _encode_ints([row[k] for row in r.relations], lambda: f"ambient_relations[{k}]")
+            for k in range(m)
         ],
         "generators": {
-            a: [_encode_int(r.vectors[i][j]) for i in range(n)]
+            a: _encode_ints([row[j] for row in r.vectors], lambda: f"generators[{a}]")
             for j, a in enumerate(r.labels)
         },
     }
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+    """``json.dumps(doc, indent=2)`` for documents, which hold objects with
+    string keys, lists, strings and integers.  A value that an object or a
+    list holds more than once is written once."""
+    return _write(doc, "\n")
+
+
+def _write(value, newline: str) -> str:
+    t = value.__class__
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is not dict and t is not list:
+        raise TypeError(f"{t.__name__} is not a document value")
+    if not value:
+        return "{}" if t is dict else "[]"
+    inner = newline + "  "
+    items = map_shared(lambda v: _write(v, inner), value.values() if t is dict else value)
+    if t is dict:
+        items = map("{}: {}".format, map(encode_basestring_ascii, value), items)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def load_path(path: str) -> Any:
-    import sys
-
     try:
         if path == "-":
             return json.load(sys.stdin)

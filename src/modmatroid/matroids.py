@@ -50,6 +50,34 @@ def subset_key(labels: tuple[str, ...], mask: int) -> str:
     return ",".join(sorted(labels_of(labels, mask)))
 
 
+def subset_keys(labels: tuple[str, ...]) -> list[str]:
+    """``subset_key(labels, mask)`` for every mask, indexed by mask.
+
+    The labels are taken in sorted order and each is appended to the keys
+    built so far, so every key is one concatenation.
+    """
+    keys, masks = [""], [0]
+    for i in sorted(range(len(labels)), key=labels.__getitem__):
+        a, bit = labels[i], 1 << i
+        tail = "," + a
+        keys += [a] + [k + tail for k in keys[1:]]
+        masks += [m | bit for m in masks]
+    out = [""] * len(keys)
+    for m, k in zip(masks, keys):
+        out[m] = k
+    return out
+
+
+def map_shared(fn, items) -> list:
+    """``[fn(x) for x in items]`` with one call of ``fn`` per distinct
+    object, in the order of first occurrence.  Parsed and realized tables
+    share their entry objects, so at 2^16 subsets ``fn`` runs a few
+    hundred times."""
+    once = dict(zip(map(id, items), items))
+    done = {i: fn(x) for i, x in once.items()}
+    return list(map(done.__getitem__, map(id, items)))
+
+
 def _check_ground(labels: tuple[str, ...]):
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate ground set labels")

@@ -356,6 +356,17 @@ def test_huge_rejected_value_is_quoted_short(run, value, quoted):
     assert len(err) < 150
 
 
+def test_output_integer_past_the_digit_limit(run):
+    # Z/(ab) with 4,001-digit a and b: an 8,001-digit torsion order at every subset
+    a, b = 10**4000 + 1, 10**4000 + 3
+    doc = {"ambient_relations": [[str(a), "0"], ["0", str(b)]], "generators": {"x": ["0", "0"]}}
+    code, out, err = run(["realize"], doc)
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert err == (f"error: subset '' torsion: an integer of 8001 digits, "
+                   f"past the {limit}-digit limit on document integers\n")
+
+
 @pytest.mark.parametrize("doc, code, out", [
     (GOOD_MATROID, 0, "OK\n"),
     (BAD_MATROID, 1, "violation A={} b=1 c=2: L2a p=2 n=1\n"),

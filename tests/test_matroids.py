@@ -25,6 +25,7 @@ from modmatroid.matroids import (
     matroid_support_primes,
     random_realization,
     subset_key,
+    subset_keys,
     verify,
 )
 from modmatroid.surjections import (
@@ -62,6 +63,12 @@ def test_subset_encoding():
     assert subset_key(("b", "a"), 3) == "a,b"
     with pytest.raises(KeyError):
         mask_of(labels, ("w",))
+
+
+def test_subset_keys_match_subset_key():
+    for labels in (tuple("abcdefghij"), tuple("jihgfedcba"), tuple("kd\u00e9Zb ax\u2603\"q")):
+        for e in range(len(labels) + 1):
+            assert subset_keys(labels[:e]) == [subset_key(labels[:e], s) for s in range(1 << e)]
 
 
 def test_ground_set_rules():
