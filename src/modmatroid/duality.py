@@ -31,9 +31,14 @@ def dual(m: ZMatroid) -> ZMatroid:
     r0 = m.table[0].rank
     full = m.full
     out: list[FgAbGroup | None] = [None] * len(m.table)
+    # the dual entry depends on the entry and |A| only: one group each
+    made: dict[tuple[FgAbGroup, int], FgAbGroup] = {}
     for a in subsets(len(m.labels)):
-        g = m.table[a]
-        out[full ^ a] = FgAbGroup(g.rank + popcount(a) - r0, g.factors)
+        key = (m.table[a], popcount(a))
+        g = made.get(key)
+        if g is None:
+            g = made[key] = FgAbGroup(key[0].rank + key[1] - r0, key[0].factors)
+        out[full ^ a] = g
     return ZMatroid(m.labels, tuple(out), verified=True)
 
 

@@ -233,10 +233,18 @@ def _write(value, newline: str) -> str:
 def load_path(path: str) -> Any:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
-        raise DocumentError(f"malformed JSON: {exc}") from None
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise DocumentError(str(exc)) from None
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
+        raise DocumentError(f"malformed JSON: {exc}") from None
+    except ValueError:  # the only other: an integer literal past the digit limit
+        raise DocumentError(
+            f"an integer literal past the {sys.get_int_max_str_digits()}-digit limit"
+            " on document integers"
+        ) from None

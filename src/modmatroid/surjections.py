@@ -26,8 +26,8 @@ need not exist.  The full decision therefore runs in three stages:
    an ambient automorphism, the image of any valid y in N0/(x) has a
    forced height profile, and every realization of that profile is a
    unit-and-lift twist of finitely many canonical ones.  Each candidate
-   is verified by direct integer quotient computation, so a hit is
-   always genuine.
+   is verified by direct integer quotient computation, once per element
+   of N0 it reduces to, so a hit is always genuine.
 
 Stage 3 depends on the residue field, not only on the sequences:
 Z/2+Z/8 against Z/4, Z/4, Z/2 has no witness pair at p = 2, while the
@@ -252,7 +252,11 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     twisted by unit classes on carriers that interact with x.  Every
     candidate pair is checked by recomputing all three quotients, so
     True is unconditional; False means no candidate in the enumerated
-    family worked.
+    family worked.  Both quotients of a candidate y depend only on its
+    element of N0 (each coordinate mod p^e_j), so each element is tested
+    once per search and the cost is bounded by the elements met, not by
+    the integer candidates; the candidate order, the count against
+    _SEARCH_GUARD and the first success are those of the plain loop.
     """
     top = _nmax(n0, n1, n2, n12)
     phi_runs = _runs(_deltas(n0, n1, top), n0.rank - n1.rank)
@@ -332,6 +336,9 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
             a_opts.append(p**s * u)
             a_opts.append(-(p**s) * u)
 
+    # elements of N0 already found wanting; a success returns at once
+    mods = [p**e for e in exps]
+    failed: set[tuple[int, ...]] = set()
     tried = 0
     for idxs in product(*carrier_sets):
         if len(set(idxs)) < len(idxs):
@@ -351,11 +358,15 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
                         "witness search budget exceeded; exponents too large"
                         " for the exact square decision"
                     )
-                y = [a * xi - wi for xi, wi in zip(x, w)]
-                if _local_cokernel(rel + [y], n, p) != n2:
+                y = [(a * xi - wi) % m for xi, wi, m in zip(x, w, mods)]
+                y += [a * xi - wi for xi, wi in zip(x[k:], w[k:])]
+                key = tuple(y)
+                if key in failed:
                     continue
-                if _local_cokernel(rel + [x, y], n, p) == n12:
+                if (_local_cokernel(rel + [y], n, p) == n2
+                        and _local_cokernel(rel + [x, y], n, p) == n12):
                     return True
+                failed.add(key)
     return False
 
 

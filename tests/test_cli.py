@@ -367,6 +367,22 @@ def test_output_integer_past_the_digit_limit(run):
                    f"past the {limit}-digit limit on document integers\n")
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_integer_literal_past_the_digit_limit(tmp_path, monkeypatch, capsys, source):
+    # json.load refuses a 5,000-digit number itself, before the document
+    # parser sees it; the error names the limit and quotes no digits
+    text = '{"ground_set": [], "modules": {"": {"torsion": [' + "7" * 5000 + "]}}}"
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main(["check", "-" if source == "stdin" else str(path)])
+    captured = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: an integer literal past the {limit}-digit limit"
+                            " on document integers\n")
+
+
 @pytest.mark.parametrize("doc, code, out", [
     (GOOD_MATROID, 0, "OK\n"),
     (BAD_MATROID, 1, "violation A={} b=1 c=2: L2a p=2 n=1\n"),

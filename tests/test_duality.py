@@ -45,6 +45,17 @@ def test_two_point_line_is_self_dual():
     assert dual(u12).table == u12.table
 
 
+def test_dual_shares_one_group_per_entry_and_size():
+    # the table CI runs at the 16-label cap; every entry as the
+    # per-subset formula gives it, built once per (entry, |A|)
+    m = from_realization(random_realization(random.Random(1), max_dim=5, n_labels=16))
+    d = dual(m)
+    r0 = m.table[0].rank
+    assert all(d.table[m.full ^ a] == FgAbGroup(g.rank + a.bit_count() - r0, g.factors)
+               for a, g in enumerate(m.table))
+    assert len({id(g) for g in d.table}) <= len(set(m.table)) * (len(m.labels) + 1)
+
+
 def test_dual_requires_a_matroid():
     bad = ZMatroid(
         ("1", "2"),

@@ -1,17 +1,31 @@
+import random
 from itertools import combinations_with_replacement, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modmatroid.abgroups import DMod, FgAbGroup, TRIVIAL, canonicalize, localize
+from modmatroid import surjections
+from modmatroid.abgroups import INF, DMod, FgAbGroup, TRIVIAL, canonicalize, localize
+from modmatroid.intmat import smith_normal_form, transpose
+from modmatroid.matroids import Realization, from_realization, subsets
+from modmatroid.oracle import abelian_p_groups
 from modmatroid.surjections import (
     L2A,
     L2B,
     M1_LOCAL,
     NO_PAIR,
     RANK_DROP,
+    _deltas,
+    _local_cokernel,
+    _nmax,
+    _runs,
+    _unit_reps,
+    _unsupplied,
+    _witness_search,
     check_m1,
     check_square,
+    exact_cap,
     m1_failure_dvr,
     square_failure_dvr,
 )
@@ -181,3 +195,214 @@ def test_single_element_check_leaves_the_square_cache_alone():
     check_square.cache_clear()
     assert not check_m1(fg(0, (2, 2)), TRIVIAL).ok
     assert check_square.cache_info().hits + check_square.cache_info().misses == 0
+
+
+def _reference_witness_search(n0, n1, n2, n12, p):
+    """The candidate loop before classes were shared: two integer
+    cokernels per candidate y.  Kept as the oracle for _witness_search,
+    verbatim but for reading the guard through the module, so that a
+    patched _SEARCH_GUARD holds for both."""
+    top = _nmax(n0, n1, n2, n12)
+    phi_runs = _runs(_deltas(n0, n1, top), n0.rank - n1.rank)
+    psi_prime_runs = _runs(_deltas(n1, n12, top), n1.rank - n12.rank)
+
+    exps = list(n0.exps)
+    k = len(exps)
+    n = k + n0.rank
+    rel = [[p ** exps[j] if i == j else 0 for j in range(n)] for i in range(k)]
+
+    # canonical x: one exact-exponent summand per finite block, a free
+    # summand for an infinite one; offsets forced by the block starts
+    used: set[int] = set()
+    x = [0] * n
+    t = 0
+    for s, e in phi_runs:
+        if e is INF:
+            idx = next((j for j in range(k, n) if j not in used), None)
+        else:
+            idx = next((j for j in range(k) if exps[j] == e and j not in used), None)
+        if idx is None:
+            return False
+        used.add(idx)
+        x[idx] = p ** (s - t)
+        t += 0 if e is INF else int(e) - s
+    if _local_cokernel(rel + [x], n, p) != n1:
+        raise RuntimeError("canonical element does not give the stated quotient")
+
+    # basis of N0/(rel, x): columns of U^-1 with orders from the SNF
+    snf = smith_normal_form(transpose(rel + [x]), ("uinv",))
+    uinv = snf.uinv
+    orders = list(snf.d) + [0] * (n - len(snf.d))
+    gens: list[tuple[int | float, list[int]]] = []
+    for i in range(n):
+        o = orders[i]
+        if o == 1:
+            continue
+        vec = [uinv[r][i] for r in range(n)]
+        if o == 0:
+            gens.append((INF, vec))
+            continue
+        e = 0
+        while o % p == 0:
+            o //= p
+            e += 1
+        if o != 1:
+            raise RuntimeError("foreign torsion in canonical quotient")
+        gens.append((e, vec))
+
+    def untouched(vec: list[int]) -> bool:
+        nz = [j for j in range(n) if vec[j]]
+        return len(nz) == 1 and abs(vec[nz[0]]) == 1 and nz[0] not in used
+
+    # carrier candidates per block of the psi' profile: the exponent of
+    # the carrier must equal the block end
+    carrier_sets: list[list[int]] = []
+    for s, e in psi_prime_runs:
+        opts = [gi for gi, (eg, _) in enumerate(gens) if eg == e]
+        if not opts:
+            return False
+        carrier_sets.append(opts)
+
+    # offsets are forced by block starts; a negative offset means the
+    # profile is not realizable by any element
+    coefs: list[int] = []
+    t = 0
+    for s, e in psi_prime_runs:
+        if s - t < 0:
+            return False
+        coefs.append(s - t)
+        t += 0 if e is INF else int(e) - s
+
+    unit_reps = _unit_reps(p)
+    a_opts = [0]
+    for s in range(top + 1):
+        for u in unit_reps:
+            a_opts.append(p**s * u)
+            a_opts.append(-(p**s) * u)
+
+    tried = 0
+    for idxs in product(*carrier_sets):
+        if len(set(idxs)) < len(idxs):
+            continue
+        carriers = [gens[gi] for gi in idxs]
+        unit_sets = [[1] if untouched(vec) else unit_reps for (_, vec) in carriers]
+        for units in product(*unit_sets):
+            w = [0] * n
+            for c, u, (_, vec) in zip(coefs, units, carriers):
+                pc = p**c * u
+                for r in range(n):
+                    w[r] += pc * vec[r]
+            for a in a_opts:
+                tried += 1
+                if tried > surjections._SEARCH_GUARD:
+                    raise RuntimeError(
+                        "witness search budget exceeded; exponents too large"
+                        " for the exact square decision"
+                    )
+                y = [a * xi - wi for xi, wi in zip(x, w)]
+                if _local_cokernel(rel + [y], n, p) != n2:
+                    continue
+                if _local_cokernel(rel + [x, y], n, p) == n12:
+                    return True
+    return False
+
+
+# the square of the realization KNOWN_NO_WITNESS_PAIR in perfbench/gen.py
+# at p = 2, and its candidate count: 16 carrier/unit choices times 321
+# values of a
+KNOWN = (DMod(0, (8, 6, 4, 1)), DMod(0, (7, 4, 2)), DMod(0, (7, 4, 1)), DMod(0, (6, 2)))
+KNOWN_CANDIDATES = 16 * 321
+
+
+def _reaches_witness_search(quad, p):
+    return square_failure_dvr(*quad).ok and bool(_unsupplied(exact_cap(p), *quad))
+
+
+def _oracle_range_squares():
+    """Every local square of groups in oracle-verify's range (p = 2 to
+    order 32, p = 3 to order 27) that reaches the witness search."""
+    out = []
+    for p, most in ((2, 32), (3, 27)):
+        mods = [localize(g, p) for g in abelian_p_groups(p, most)]
+        # every edge of a square that passes stage 1 is a cyclic-kernel map
+        onto = {m: [d for d in mods if m1_failure_dvr(m, d).ok] for m in mods}
+        for n0 in mods:
+            for n1, n2 in product(onto[n0], repeat=2):
+                for n12 in onto[n1]:
+                    if n12 in onto[n2] and _reaches_witness_search((n0, n1, n2, n12), p):
+                        out.append(((n0, n1, n2, n12), p))
+    return out
+
+
+def _realized_squares(p, tables, seed):
+    """Distinct squares reaching the witness search in 4-label realizations
+    over diag(p^k_1, .., p^k_dim), dim 3 or 4 and 1 <= k_i <= the exact
+    cap at p.  The generators agree mod p up to units, which makes joint
+    descents of the two lower kernels, and so supply shortfalls, common."""
+    rng = random.Random(seed)
+    cap = exact_cap(p)
+    out = {}
+    for _ in range(tables):
+        dim = rng.randint(3, 4)
+        ks = [rng.randint(1, cap) for _ in range(dim)]
+        rel = [[p**ks[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+        g0 = [rng.randrange(p**k) for k in ks]
+        cols = [[(rng.randrange(1, p**k) * g + p * rng.randrange(p**k)) % p**k
+                 for g, k in zip(g0, ks)] for _ in range(4)]
+        m = from_realization(Realization(("a", "b", "c", "d"), rel, transpose(cols)))
+        loc = [localize(g, p) for g in m.table]
+        for a in subsets(4):
+            for b, c in product(range(4), repeat=2):
+                if b < c and not (a >> b | a >> c) & 1:
+                    q = (loc[a], loc[a | 1 << b], loc[a | 1 << c], loc[a | 1 << b | 1 << c])
+                    if _reaches_witness_search(q, p):
+                        out[q, p] = None
+    return list(out)
+
+
+@pytest.fixture(scope="module")
+def stage3_squares():
+    oracle = _oracle_range_squares()
+    assert len(oracle) == 4
+    realized = _realized_squares(2, 500, 1) + _realized_squares(3, 600, 3)
+    assert len(realized) >= 200 and {p for _, p in realized} == {2, 3}
+    return oracle + realized + [(KNOWN, 2)]
+
+
+def _answer(search, quad, p):
+    try:
+        return search(*quad, p)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_witness_search_matches_reference(stage3_squares):
+    for quad, p in stage3_squares:
+        assert _answer(_witness_search, quad, p) == _answer(
+            _reference_witness_search, quad, p), (quad, p)
+    assert _witness_search(*KNOWN, 2) is False
+
+
+def test_witness_search_decides_each_class_once(stage3_squares, monkeypatch):
+    # both quotients depend on y only modulo the relation rows, so no two
+    # cokernels of one search may be asked of rows equal mod p^e_j
+    for quad, p in stage3_squares:
+        seen = set()
+        mods = [p**e for e in quad[0].exps]
+
+        def recording(rows, ncols, prime):
+            key = tuple(tuple(v % m for v, m in zip(row, mods)) for row in rows)
+            assert key not in seen, (quad, p, rows)
+            seen.add(key)
+            return _local_cokernel(rows, ncols, prime)
+
+        monkeypatch.setattr(surjections, "_local_cokernel", recording)
+        _witness_search(*quad, p)
+
+
+def test_witness_search_guard_counts_candidates(monkeypatch):
+    monkeypatch.setattr(surjections, "_SEARCH_GUARD", KNOWN_CANDIDATES)
+    assert _witness_search(*KNOWN, 2) is False
+    monkeypatch.setattr(surjections, "_SEARCH_GUARD", KNOWN_CANDIDATES - 1)
+    with pytest.raises(RuntimeError, match="witness search budget exceeded"):
+        _witness_search(*KNOWN, 2)
