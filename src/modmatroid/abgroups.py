@@ -17,6 +17,7 @@ import math
 import random
 from collections import Counter
 from functools import lru_cache
+from operator import mul
 from typing import Iterable
 
 from .intmat import Mat, Record, setfield, shape, smith_normal_form
@@ -169,42 +170,41 @@ def cokernel(relations: Mat) -> FgAbGroup:
     return FgAbGroup(rows - len(nonzero), tuple(x for x in nonzero if x > 1))
 
 
-def subset_cokernels(relations: Mat, columns: list[list[int]]) -> list[FgAbGroup]:
+def subset_cokernels(relations: Mat, columns: list[list[int]]) -> tuple[list, list[int]]:
     """Cokernel of [relations | the chosen columns] for every subset of ``columns``.
 
-    Entry ``mask`` picks column j when bit j is set.  The walk runs over
-    the subset tree in which a mask's parent is the mask minus its
-    highest column.  A node keeps the invariant diagonal d of its
-    cokernel and a row transform U mapping Z^n onto Z^r / diag(d), so a
-    child adding column v needs only the normal form of the r x (<= r+1)
-    matrix [diag(d) | U v].  Rows with d_i = 1 are dropped and row i of
-    U is reduced mod d_i where d_i != 0, which bounds entry growth;
-    neither changes the map into the quotient.
+    Returns the distinct groups, in the order the walk meets them, and
+    each mask's group number; a mask picks column j when bit j is set.
+    The walk runs over the subset tree in which a mask's parent is the
+    mask minus its highest column.  A node keeps the invariant diagonal
+    d of its cokernel and a row transform U mapping Z^n onto
+    Z^r / diag(d), so a child adding column v needs only the normal
+    form of the r x (<= r+1) matrix [diag(d) | U v].  Rows with d_i = 1
+    are dropped and row i of U is reduced mod d_i where d_i != 0, which
+    bounds entry growth; neither changes the map into the quotient.
     """
     n, _ = shape(relations)
     e = len(columns)
-    table: list[FgAbGroup | None] = [None] * (1 << e)
-    groups: dict[tuple[int, ...], FgAbGroup] = {}
+    table = [0] * (1 << e)
+    numbers: dict[tuple[int, ...], int] = {}  # a node's diagonal -> its group's number
 
     def node(d: tuple[int, ...], u: Mat | None, rows: int):
         # pad to one entry per row, drop unit rows, reduce U mod d
         d = d + (0,) * (rows - len(d))
         live = [i for i in range(rows) if d[i] != 1]
         dl = tuple(d[i] for i in live)
-        g = groups.get(dl)
-        if g is None:
-            g = groups[dl] = FgAbGroup(dl.count(0), tuple(x for x in dl if x))
+        k = numbers.setdefault(dl, len(numbers))
         if u is None:
-            return g, dl, None
+            return k, dl, None
         ul = [[x % d[i] for x in u[i]] if d[i] else u[i] for i in live]
-        return g, dl, ul
+        return k, dl, ul
 
     def walk(mask: int, first: int, d: tuple[int, ...], u: Mat):
         t = len(d) - d.count(0)  # torsion rows come first in d
         for j in range(first, e):
             child = mask | 1 << j
             v = columns[j]
-            w = [sum(x * y for x, y in zip(row, v)) for row in u]
+            w = [sum(map(mul, row, v)) for row in u]
             w = [x % di if di else x for x, di in zip(w, d)]
             if not any(w):
                 table[child] = table[mask]
@@ -215,7 +215,7 @@ def subset_cokernels(relations: Mat, columns: list[list[int]]) -> list[FgAbGroup
             leaf = j + 1 == e
             s = smith_normal_form(mat, () if leaf else ("u",))
             moved = None if leaf else [
-                [sum(c * x for c, x in zip(srow, ucol)) for ucol in zip(*u)] for srow in s.u
+                [sum(map(mul, srow, ucol)) for ucol in zip(*u)] for srow in s.u
             ]
             table[child], d2, u2 = node(s.d, moved, len(d))
             if not leaf:
@@ -224,7 +224,7 @@ def subset_cokernels(relations: Mat, columns: list[list[int]]) -> list[FgAbGroup
     root = smith_normal_form(relations, ("u",))
     table[0], d0, u0 = node(root.d, root.u, n)
     walk(0, 0, d0, u0)
-    return table
+    return [FgAbGroup(dl.count(0), tuple(x for x in dl if x)) for dl in numbers], table
 
 
 def support_primes(*groups: FgAbGroup) -> tuple[int, ...]:

@@ -40,7 +40,6 @@ from .matroids import (
     from_realization,
     is_matroid,
     localize_matroid,
-    map_shared,
     subset_keys,
     verify,
 )
@@ -103,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("dual", "dual table of a verified matroid")
     add("galedual", "Gale dual of a realization", doc="realization")
     p = add("minor", "delete and contract labels")
-    p.add_argument("--delete", type=_labels_arg, default=[], metavar="L[,L..]")
-    p.add_argument("--contract", type=_labels_arg, default=[], metavar="L[,L..]")
+    # repeated flags add up, in the order given
+    p.add_argument("--delete", type=_labels_arg, action="extend", default=[], metavar="L[,L..]")
+    p.add_argument("--contract", type=_labels_arg, action="extend", default=[], metavar="L[,L..]")
     add("essentialize", "strip the shared free summand (split rank on stderr)")
     p = add("tutte", "Tutte-Grothendieck class or a polynomial specialization")
     p.add_argument("--form", choices=("class", "classical", "arithmetic"),
@@ -265,10 +265,11 @@ def main(argv=None) -> int:
             return 1
 
         if cmd == "localize":
-            m = _load_matroid(args.input)
-            local = localize_matroid(m, args.p)
-            table = map_shared(lambda d: _as_group(d, args.p), local.table)
-            as_groups = ZMatroid(local.labels, tuple(table))
+            local = localize_matroid(_load_matroid(args.input), args.p)
+            # each local module as a group with a prime-power chain
+            entries = [FgAbGroup(d.rank, tuple(args.p**e for e in reversed(d.exps)))
+                       for d in local.entries]
+            as_groups = ZMatroid.from_code(local.labels, entries.__getitem__, local.code, False)
             print(dumps(emit_matroid_document(as_groups)))
             return 0
 
@@ -316,11 +317,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     raise AssertionError(f"unhandled command {cmd}")
-
-
-def _as_group(d, p: int) -> FgAbGroup:
-    """Present a one-prime module as a group with a prime-power chain."""
-    return FgAbGroup(d.rank, tuple(p**e for e in reversed(d.exps)))
 
 
 def entry() -> None:

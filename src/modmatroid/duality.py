@@ -22,24 +22,22 @@ from .intmat import (
     smith_normal_form,
     transpose,
 )
-from .matroids import Realization, ZMatroid, popcount, subsets, verify
+from .matroids import Realization, ZMatroid, subsets, verify
 
 
 def dual(m: ZMatroid) -> ZMatroid:
     """Dual table; requires a matroid and always produces an essential one."""
     m = verify(m)
-    r0 = m.table[0].rank
-    full = m.full
-    out: list[FgAbGroup | None] = [None] * len(m.table)
-    # the dual entry depends on the entry and |A| only: one group each
-    made: dict[tuple[FgAbGroup, int], FgAbGroup] = {}
-    for a in subsets(len(m.labels)):
-        key = (m.table[a], popcount(a))
-        g = made.get(key)
-        if g is None:
-            g = made[key] = FgAbGroup(key[0].rank + key[1] - r0, key[0].factors)
-        out[full ^ a] = g
-    return ZMatroid(m.labels, tuple(out), verified=True)
+    r0 = m.entries[m.code[0]].rank
+    # the entry at mask B reads A = full ^ B, which runs down as B runs
+    # up, and depends on (the entry at A, |A|) only: one group per pair
+    pairs = tuple(zip(reversed(m.code), map(int.bit_count, reversed(subsets(len(m.labels))))))
+
+    def entry(pair: tuple[int, int]) -> FgAbGroup:
+        g = m.entries[pair[0]]
+        return FgAbGroup(g.rank + pair[1] - r0, g.factors)
+
+    return ZMatroid.from_code(m.labels, entry, pairs, True)
 
 
 def _independent_relations(relations: Mat) -> Mat:

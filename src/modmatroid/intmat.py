@@ -17,18 +17,19 @@ Mat = list  # list[list[int]], row major
 class Record:
     """Base of the package's immutable records.
 
-    A subclass names its fields in ``__slots__`` and sets each one in its
-    ``__init__`` with ``setfield``; the class keyword ``compare`` names
-    the fields that equality and the hash read (default: all).  Equality
-    is type-strict, assigning or deleting a field raises AttributeError
-    and the repr is ``Name(field=value, ...)``.  Plain classes, not
-    dataclasses: importing ``dataclasses`` costs each process a few ms.
+    A subclass names its fields in ``__slots__``, after its base's, and
+    sets each one in its constructor with ``setfield``; the class keyword
+    ``compare`` names the fields that equality and the hash read (default:
+    all).  Equality is type-strict, assigning or deleting a field raises
+    AttributeError and the repr is ``Name(field=value, ...)``.  Plain
+    classes, not dataclasses: importing ``dataclasses`` costs a few ms.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, compare: tuple[str, ...] | None = None):
-        cls._key = attrgetter(*(compare or cls.__slots__))
+        cls._fields = getattr(cls, "_fields", ()) + cls.__dict__.get("__slots__", ())
+        cls._key = attrgetter(*(compare or cls._fields))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -45,11 +46,11 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 setfield = object.__setattr__  # past Record.__setattr__, for __init__ only

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .abgroups import FgAbGroup, canonicalize
-from .matroids import MAX_GROUND, Realization, ZMatroid, map_shared, subset_keys
+from .matroids import MAX_GROUND, Realization, ZMatroid, subset_keys
 
 BIG = 1 << 53
 
@@ -105,7 +105,7 @@ def parse_matroid_document(doc: Any) -> tuple[ZMatroid, list[str]]:
     """Build the table; returns warnings for entries that needed canonicalizing.
 
     Subsets are read in mask order.  Entries whose rank and torsion values
-    are alike, types included, are decoded once and share one group.
+    are alike, types included, are decoded once, into one table entry.
     """
     if not isinstance(doc, dict):
         raise DocumentError("matroid document must be a JSON object")
@@ -118,8 +118,9 @@ def parse_matroid_document(doc: Any) -> tuple[ZMatroid, list[str]]:
     if unknown:
         raise DocumentError(f"unknown subset key {min(unknown)!r}")
     warnings = []
-    table = []
-    decoded = {}  # raw entry values and their types -> (group, canonicalized)
+    code = []
+    groups = []  # one per distinct raw entry; from_code merges equal ones
+    decoded = {}  # raw entry values and their types -> (number, group if canonicalized)
     for key in keys:
         try:
             entry = modules[key]
@@ -135,30 +136,27 @@ def parse_matroid_document(doc: Any) -> tuple[ZMatroid, list[str]]:
         except TypeError:  # torsion not iterable, or a list or object among the values
             raw = hit = None
         if hit is None:
-            hit = _decode_entry(key, entry)
+            g, canonicalized = _decode_entry(key, entry)
+            hit = len(groups), g if canonicalized else None
+            groups.append(g)
             if raw is not None:
                 decoded[raw] = hit
-        g, canonicalized = hit
-        if canonicalized:
-            warnings.append(f"subset {key!r}: torsion canonicalized to {list(g.factors)}")
-        table.append(g)
-    return ZMatroid(labels, tuple(table)), warnings
+        n, fixed = hit
+        if fixed is not None:
+            warnings.append(f"subset {key!r}: torsion canonicalized to {list(fixed.factors)}")
+        code.append(n)
+    return ZMatroid.from_code(labels, groups.__getitem__, code, False), warnings
 
 
 def emit_matroid_document(m: ZMatroid) -> dict:
-    """The document of a table; subsets with equal groups share one entry object."""
+    """The document of a table; its subsets share one object per table entry."""
     keys = subset_keys(m.labels)
-    entries = {}  # group -> its entry
-
-    def entry(g: FgAbGroup) -> dict:
-        e = entries.get(g)
-        if e is None:
-            where = lambda: f"subset {keys[m.table.index(g)]!r} torsion"
-            e = entries[g] = {"rank": g.rank, "torsion": _encode_ints(g.factors, where)}
-        return e
-
+    docs = []
+    for n, g in enumerate(m.entries):
+        where = lambda: f"subset {keys[m.code.index(n)]!r} torsion"
+        docs.append({"rank": g.rank, "torsion": _encode_ints(g.factors, where)})
     return {"ground_set": list(m.labels),
-            "modules": dict(zip(keys, map_shared(entry, m.table)))}
+            "modules": dict(zip(keys, map(docs.__getitem__, m.code)))}
 
 
 def _columns(value: Any, what: str) -> list[list[int]]:
@@ -223,7 +221,9 @@ def _write(value, newline: str) -> str:
     if not value:
         return "{}" if t is dict else "[]"
     inner = newline + "  "
-    items = map_shared(lambda v: _write(v, inner), value.values() if t is dict else value)
+    values = value.values() if t is dict else value
+    done = {i: _write(v, inner) for i, v in dict(zip(map(id, values), values)).items()}
+    items = map(done.__getitem__, map(id, values))
     if t is dict:
         items = map("{}: {}".format, map(encode_basestring_ascii, value), items)
         return "{" + inner + ("," + inner).join(items) + newline + "}"

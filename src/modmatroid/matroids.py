@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import random
 import string
+from collections.abc import Sequence
+from itertools import chain
+from operator import itemgetter
 
 from .abgroups import (
     DMod,
@@ -35,10 +38,6 @@ MAX_GROUND = 16
 
 def subsets(n_labels: int) -> range:
     return range(1 << n_labels)
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def labels_of(labels: tuple[str, ...], mask: int) -> tuple[str, ...]:
@@ -68,14 +67,10 @@ def subset_keys(labels: tuple[str, ...]) -> list[str]:
     return out
 
 
-def map_shared(fn, items) -> list:
-    """``[fn(x) for x in items]`` with one call of ``fn`` per distinct
-    object, in the order of first occurrence.  Parsed and realized tables
-    share their entry objects, so at 2^16 subsets ``fn`` runs a few
-    hundred times."""
-    once = dict(zip(map(id, items), items))
-    done = {i: fn(x) for i, x in once.items()}
-    return list(map(done.__getitem__, map(id, items)))
+def _pick(values, keys) -> tuple:
+    """``tuple(values[k] for k in keys)``, by one ``itemgetter`` call when
+    there are two keys or more (it returns a bare item for one key)."""
+    return itemgetter(*keys)(values) if len(keys) > 1 else tuple(values[k] for k in keys)
 
 
 def _check_ground(labels: tuple[str, ...]):
@@ -85,41 +80,96 @@ def _check_ground(labels: tuple[str, ...]):
         raise ValueError(f"ground set larger than {MAX_GROUND}")
 
 
-class ZMatroid(Record, compare=("labels", "table")):
-    """Total mapping from subset bitmasks to groups, one entry per subset.
-    ``verified`` does not take part in equality or the hash."""
+class _Table(Record):
+    """A total mapping from subset bitmasks to entries, stored interned:
+    ``entries`` lists the distinct values in order of first sight by
+    mask and ``code`` holds the entry number of each mask, so equal
+    tables have equal fields, and an operation on entries runs once per
+    distinct one.  ``table`` is a read-only view of the entry of each
+    mask, not a stored copy.  The constructor interns a sequence of
+    entries, objects first by identity, then by value."""
 
-    __slots__ = ("labels", "table", "verified")
+    __slots__ = ("labels", "entries", "code")
 
-    def __init__(self, labels: tuple[str, ...], table: tuple[FgAbGroup, ...],
-                 verified: bool = False):
+    def __new__(cls, labels: tuple[str, ...], table, *flags):
         _check_ground(labels)
         if len(table) != 1 << len(labels):
             raise ValueError("table size does not match ground set")
-        setfield(self, "labels", labels)
-        setfield(self, "table", table)
-        setfield(self, "verified", verified)
+        ids = tuple(map(id, table))
+        return cls._intern(labels, dict(zip(ids, table)).items(), ids, *flags)
+
+    @classmethod
+    def from_code(cls, labels: tuple[str, ...], value, code, *flags):
+        """The table whose entry at mask s is ``value(code[s])``: ``value``
+        runs once per distinct item of ``code``, and equal values are one
+        entry."""
+        return cls._intern(labels, ((c, value(c)) for c in dict.fromkeys(code)), code, *flags)
+
+    @classmethod
+    def _intern(cls, labels, firsts, code, *flags):
+        # firsts: each distinct item of code and its value, in order of first sight
+        index: dict = {}
+        number = {c: index.setdefault(v, len(index)) for c, v in firsts}
+        t = object.__new__(cls)
+        fields = (labels, tuple(index), _pick(number, code), *flags)
+        for name, field in zip(cls._fields, fields, strict=True):
+            setfield(t, name, field)
+        return t
+
+    def __reduce__(self):
+        flags = (getattr(self, f) for f in self._fields[3:])
+        return type(self), (self.labels, self.table[:], *flags)
+
+    @property
+    def table(self) -> "_View":
+        return _View(self.entries, self.code)
 
     @property
     def full(self) -> int:
         return (1 << len(self.labels)) - 1
 
 
-class DvrMatroid(Record):
-    """The same table shape with one-prime local modules as entries."""
+class _View(Sequence):
+    """The entry of each mask, read through the code: an index is one
+    lookup, a slice a tuple, and the view equals the tuple of its items."""
 
-    __slots__ = ("labels", "table")
+    __slots__ = ("entries", "code")
 
-    def __init__(self, labels: tuple[str, ...], table: tuple[DMod, ...]):
-        _check_ground(labels)
-        if len(table) != 1 << len(labels):
-            raise ValueError("table size does not match ground set")
-        setfield(self, "labels", labels)
-        setfield(self, "table", table)
+    def __init__(self, entries: tuple, code: tuple[int, ...]):
+        self.entries, self.code = entries, code
 
-    @property
-    def full(self) -> int:
-        return (1 << len(self.labels)) - 1
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _pick(self.entries, self.code[i])
+        return self.entries[self.code[i]]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        return self[:] == other
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
+class ZMatroid(_Table, compare=_Table.__slots__):
+    """Groups as entries.  ``verified`` does not take part in equality or
+    the hash."""
+
+    __slots__ = ("verified",)
+
+    def __new__(cls, labels: tuple[str, ...], table, verified: bool = False):
+        return super().__new__(cls, labels, table, verified)
+
+
+class DvrMatroid(_Table):
+    """One-prime local modules as entries."""
+
+    __slots__ = ()
 
 
 class Realization(Record):
@@ -211,8 +261,8 @@ def from_realization(r: Realization) -> ZMatroid:
     verified; the test suite re-verifies anyway.
     """
     columns = [[row[j] for row in r.vectors] for j in range(len(r.labels))]
-    table = subset_cokernels(r.relations, columns)
-    return ZMatroid(r.labels, tuple(table), verified=True)
+    groups, code = subset_cokernels(r.relations, columns)
+    return ZMatroid.from_code(r.labels, groups.__getitem__, code, True)
 
 
 def _walk(labels, code, entries, lo, hi, bad, passed):
@@ -289,7 +339,7 @@ class _Memo:
     """
 
     def __init__(self):
-        self.ids: dict[tuple, int] = {}
+        self.ids: dict[FgAbGroup, int] = {}
         self.groups: list[FgAbGroup] = []
         self.primes: list[tuple[int, ...]] = []
         self.nodes: list[dict[tuple, int]] = [{} for _ in range(MAX_GROUND + 1)]
@@ -306,21 +356,16 @@ class _Memo:
                 + len(self.passed) + len(self.mods) + len(self.square)
                 + sum(map(len, self.local.values())))
 
-    def number(self, table) -> list[int]:
-        # keyed by (rank, factors), not by the group: a tuple hashes and
-        # compares in C, a group through Record's Python-level __hash__ and
-        # __eq__, which made numbering 10-label tables about 5x slower
+    def number(self, m: ZMatroid) -> list[int]:
+        """The group number of each subset's entry, numbering the
+        entries not seen before."""
         ids = self.ids
-        keys = [(g.rank, g.factors) for g in table]
-        code = list(map(ids.get, keys))
-        if None in code:
-            for k, g in zip(keys, table):
-                if k not in ids:
-                    ids[k] = len(self.groups)
-                    self.groups.append(g)
-                    self.primes.append(support_primes(g))
-            code = list(map(ids.__getitem__, keys))
-        return code
+        for g in m.entries:
+            if g not in ids:
+                ids[g] = len(self.groups)
+                self.groups.append(g)
+                self.primes.append(support_primes(g))
+        return list(map([ids[g] for g in m.entries].__getitem__, m.code))
 
     def tree(self, code: list[int], t: int) -> list[int]:
         """The level-t nodes of the entry numbers ``code``, one per block
@@ -465,7 +510,7 @@ _MEMO_BOUND = 1 << 18
 _memo = _Memo()
 
 
-def _scan(labels, table, memo: _Memo) -> Verdict:
+def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
     """The axiom over the integers: a local-global certifier, then the
     scan order to name the first failure.
 
@@ -485,8 +530,8 @@ def _scan(labels, table, memo: _Memo) -> Verdict:
     witness searches, as a walk over every key; the block's tuples are
     then not kept as certified.
     """
-    code = memo.number(table)
-    e = len(labels)
+    code = memo.number(m)
+    e = len(m.labels)
     t = max(e - 5, min(e, 3))  # blocks of 2^t subsets, at most 32 of them
     top = memo.tree(code, t)
     for j in range(len(top)):
@@ -497,7 +542,7 @@ def _scan(labels, table, memo: _Memo) -> Verdict:
         if not bad:
             continue
         lo = j << t
-        v = _walk(labels, code, memo.groups, lo, lo + (1 << t), bad, memo.passed)
+        v = _walk(m.labels, code, memo.groups, lo, lo + (1 << t), bad, memo.passed)
         if v is not None:
             memo.done.difference_update(new)
             return Verdict(False, v)
@@ -508,7 +553,7 @@ def is_matroid(m: ZMatroid) -> Verdict:
     """Check the axiom on every (A, b, c), including b = c."""
     global _memo
     try:
-        return _scan(m.labels, m.table, _memo)
+        return _scan(m, _memo)
     except BaseException:  # an interrupted update may leave the memo inconsistent
         _memo = _Memo()
         raise
@@ -524,7 +569,7 @@ def verify(m: ZMatroid) -> ZMatroid:
     verdict = is_matroid(m)
     if not verdict.ok:
         raise MatroidError(m, verdict.violation)
-    return ZMatroid(m.labels, m.table, verified=True)
+    return ZMatroid.from_code(m.labels, m.entries.__getitem__, m.code, True)
 
 
 def _drop_label(labels: tuple[str, ...], a: str) -> tuple[tuple[str, ...], int]:
@@ -534,21 +579,21 @@ def _drop_label(labels: tuple[str, ...], a: str) -> tuple[tuple[str, ...], int]:
     return labels[:pos] + labels[pos + 1 :], pos
 
 
-def _embed(mask: int, pos: int) -> int:
-    low = mask & ((1 << pos) - 1)
-    return low | (mask >> pos) << (pos + 1)
+def _minor(m: ZMatroid, a: str, bit: int) -> ZMatroid:
+    """The subsets whose bit for ``a`` is ``bit``, with ``a`` dropped: in
+    mask order, runs of 2^pos entries at a stride of 2^(pos+1)."""
+    labels, pos = _drop_label(m.labels, a)
+    step, code = 1 << pos, m.code
+    kept = chain.from_iterable(code[i:i + step] for i in range(bit << pos, len(code), step << 1))
+    return ZMatroid.from_code(labels, m.entries.__getitem__, tuple(kept), m.verified)
 
 
 def delete(m: ZMatroid, a: str) -> ZMatroid:
-    labels, pos = _drop_label(m.labels, a)
-    table = tuple(m.table[_embed(s, pos)] for s in subsets(len(labels)))
-    return ZMatroid(labels, table, verified=m.verified)
+    return _minor(m, a, 0)
 
 
 def contract(m: ZMatroid, a: str) -> ZMatroid:
-    labels, pos = _drop_label(m.labels, a)
-    table = tuple(m.table[_embed(s, pos) | 1 << pos] for s in subsets(len(labels)))
-    return ZMatroid(labels, table, verified=m.verified)
+    return _minor(m, a, 1)
 
 
 def essentialize(m: ZMatroid) -> tuple[ZMatroid, int]:
@@ -558,26 +603,27 @@ def essentialize(m: ZMatroid) -> tuple[ZMatroid, int]:
     much free rank.  Entries of a matroid can never have less, so a
     negative remainder signals a non-matroid input.
     """
-    split = m.table[m.full].rank
+    split = m.entries[m.code[m.full]].rank
     if split == 0:
         return m, 0
-    for g in m.table:
+    for g in m.entries:
         if g.rank < split:
             raise ValueError("table rank dips below the rank at the full subset")
-    table = tuple(FgAbGroup(g.rank - split, g.factors) for g in m.table)
-    return ZMatroid(m.labels, table, verified=m.verified), split
+    entries = [FgAbGroup(g.rank - split, g.factors) for g in m.entries]
+    return ZMatroid.from_code(m.labels, entries.__getitem__, m.code, m.verified), split
 
 
 def generic_rank(m: ZMatroid) -> dict[int, int]:
     """Rank function of the matroid seen by the rational numbers."""
-    r0 = m.table[0].rank
-    return {s: r0 - m.table[s].rank for s in subsets(len(m.labels))}
+    r0 = m.entries[m.code[0]].rank
+    ranks = [r0 - g.rank for g in m.entries]
+    return dict(enumerate(map(ranks.__getitem__, m.code)))
 
 
 def localize_matroid(m: ZMatroid, p: int) -> DvrMatroid:
-    table = tuple(localize(g, p) for g in m.table)
-    return DvrMatroid(m.labels, table)
+    local = [localize(g, p) for g in m.entries]
+    return DvrMatroid.from_code(m.labels, local.__getitem__, m.code)
 
 
 def matroid_support_primes(m: ZMatroid) -> tuple[int, ...]:
-    return support_primes(*m.table)
+    return support_primes(*m.entries)

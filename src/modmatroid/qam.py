@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .intmat import Record, setfield
-from .matroids import ZMatroid, generic_rank, popcount, subset_key, subsets, verify
+from .matroids import ZMatroid, generic_rank, subset_key, subsets, verify
 
 
 class QamData(Record):
@@ -59,13 +59,8 @@ class QamVerdict(Record):
 
 def to_qam(m: ZMatroid) -> QamData:
     m = verify(m)
-    rk = generic_rank(m)
-    e = len(m.labels)
-    return QamData(
-        m.labels,
-        tuple(rk[s] for s in subsets(e)),
-        tuple(m.table[s].torsion_order for s in subsets(e)),
-    )
+    mult = [g.torsion_order for g in m.entries]
+    return QamData(m.labels, tuple(generic_rank(m).values()), tuple(map(mult.__getitem__, m.code)))
 
 
 def check_axioms(q: QamData) -> QamVerdict:
@@ -100,7 +95,7 @@ def check_axioms(q: QamData) -> QamVerdict:
         d = 0  # ascends over the subsets of the complement
         while True:
             f, t = d & ~cl, d & cl
-            molecule = rk[a | f] == rk[a] + popcount(f)
+            molecule = rk[a | f] == rk[a] + f.bit_count()
             if molecule and mu[a] * mu[a | d] != mu[a | f] * mu[a | t]:
                 return QamVerdict(False, QamViolation(
                     "A2b",

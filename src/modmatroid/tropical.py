@@ -29,7 +29,7 @@ from typing import Callable
 
 from .abgroups import INF, d_leq
 from .intmat import Record, setfield
-from .matroids import DvrMatroid, labels_of, popcount, subsets
+from .matroids import DvrMatroid, labels_of, subsets
 
 # largest ground set the exhaustive flag scan accepts
 FLAG_SCAN_MAX_LABELS = 8
@@ -66,9 +66,8 @@ class TropicalVerdict(Record):
 def heights(m: DvrMatroid, n) -> HeightFunction:
     if n is not INF and n < 1:
         raise ValueError("horizon must be at least 1")
-    return HeightFunction(
-        m.labels, n, tuple(d_leq(g, n) for g in m.table)
-    )
+    values = [d_leq(g, n) for g in m.entries]
+    return HeightFunction(m.labels, n, tuple(map(values.__getitem__, m.code)))
 
 
 def _fmt(x) -> str:
@@ -246,12 +245,14 @@ def valuated_matroid_check(m: DvrMatroid) -> TropicalVerdict:
     Bases: subsets of size rank(M(empty)) whose entry is pure torsion.
     Requires an essential table (rank 0 at the full subset).
     """
-    if m.table[m.full].rank != 0:
+    rank, code = [g.rank for g in m.entries], m.code
+    if rank[code[m.full]] != 0:
         raise ValueError("input is not essential; essentialize first")
     e = len(m.labels)
-    r = m.table[0].rank
-    bases = {s for s in subsets(e) if popcount(s) == r and m.table[s].rank == 0}
-    v = {s: m.table[s].length for s in bases}
+    r = rank[code[0]]
+    bases = {s for s in subsets(e) if s.bit_count() == r and rank[code[s]] == 0}
+    length = [g.length for g in m.entries]
+    v = {s: length[code[s]] for s in bases}
     lab = m.labels
     bad = []
     ordered = sorted(bases)

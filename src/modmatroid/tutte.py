@@ -19,10 +19,11 @@ not the same number as |q T_A|.)
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .abgroups import canonicalize
 from .duality import dual  # not called here; perfbench/spans.py traces calls through this name
-from .matroids import ZMatroid, popcount, subsets, verify
+from .matroids import ZMatroid, subsets, verify
 
 # (cork, nullity, torsion tag)
 Monomial = tuple[int, int, tuple[int, ...]]
@@ -77,14 +78,14 @@ def tutte_class(m: ZMatroid) -> TutteClass:
     rank M(A) + |A| - rank M(empty), read off without building the dual.
     """
     m = verify(m)
-    if m.table[m.full].rank != 0:
+    if m.entries[m.code[m.full]].rank != 0:
         raise ValueError("input is not essential; essentialize first")
-    r0 = m.table[0].rank
-    terms: dict = {}
-    for a in subsets(len(m.labels)):
-        g = m.table[a]
-        key = (g.rank, g.rank + popcount(a) - r0, g.factors)
-        terms[key] = terms.get(key, 0) + 1
+    r0 = m.entries[m.code[0]].rank
+    terms: Counter = Counter()
+    sizes = map(int.bit_count, subsets(len(m.labels)))
+    for (n, size), count in Counter(zip(m.code, sizes)).items():
+        g = m.entries[n]
+        terms[g.rank, g.rank + size - r0, g.factors] += count
     return TutteClass(terms)
 
 

@@ -8,7 +8,7 @@ tests state about the Smith normal form live here too."""
 
 from modmatroid.abgroups import TRIVIAL, DMod, FgAbGroup, canonicalize, localize
 from modmatroid.intmat import Mat, SnfResult, det, shape, transpose
-from modmatroid.matroids import DvrMatroid, ZMatroid, popcount, subsets
+from modmatroid.matroids import DvrMatroid, ZMatroid, subsets
 from modmatroid.tropical import HeightFunction
 
 
@@ -97,7 +97,7 @@ def dual_dvr(m: DvrMatroid) -> DvrMatroid:
     out: list[DMod | None] = [None] * len(m.table)
     for a in subsets(len(m.labels)):
         g = m.table[a]
-        out[full ^ a] = DMod(g.rank + popcount(a) - r0, g.exps)
+        out[full ^ a] = DMod(g.rank + a.bit_count() - r0, g.exps)
     return DvrMatroid(m.labels, tuple(out))
 
 

@@ -169,6 +169,18 @@ def test_minor(run):
     }
 
 
+def test_minor_flags_add_up_in_order(run):
+    # a repeated flag used to keep only its last value
+    doc = emit_matroid_document(from_realization(
+        random_realization(random.Random(3), max_dim=3, n_labels=6)))
+    once = run(["minor", "--delete", "f,b", "--contract", "a,e"], doc)
+    assert once[0] == 0 and json.loads(once[1])["ground_set"] == ["c", "d"]
+    assert run(["minor", "--delete", "f", "--delete", "b",
+                "--contract", "a", "--contract", "e"], doc) == once
+    # flags of one kind add up wherever they stand
+    assert run(["minor", "--contract", "e", "--delete", "f,b", "--contract", "a"], doc) == once
+
+
 @pytest.mark.parametrize("args", [
     ["--delete", "z"],
     ["--contract", "z"],

@@ -395,7 +395,7 @@ def check_gathering(memo, table, e):
     with nothing certified, and with the memo's certified tuples the
     tree keys plus the keys under those tuples.  A block whose keys pass
     the screen keeps its tuples, as in a scan."""
-    code = memo.number(table)
+    code = memo.number(ZMatroid(tuple("abcdefghijklmnop"[:e]), table))
     t = max(e - 5, min(e, 3))
     top = memo.tree(code, t)
     under = {}
@@ -440,7 +440,7 @@ def test_tree_keys_match_slice_gathering():
         e = len(labels)
         check_gathering(matroids._Memo(), table, e)
         check_gathering(copy.deepcopy(warm), table, e)
-        matroids._scan(labels, table, warm)
+        matroids._scan(ZMatroid(labels, table), warm)
         check_gathering(copy.deepcopy(warm), table, e)
 
 
@@ -466,9 +466,10 @@ def test_edited_copies_through_one_memo():
     rejected = 0
     for table in tables:
         want = naive_scan(base.labels, table, check_m1, check_square)
-        assert matroids._scan(base.labels, table, matroids._Memo()) == want
+        z = ZMatroid(base.labels, table)
+        assert matroids._scan(z, matroids._Memo()) == want
         for _ in range(2):
-            assert matroids._scan(base.labels, table, memo) == want
+            assert matroids._scan(z, memo) == want
         rejected += not want.ok
     assert rejected >= 40
     assert memo.size() < sum(map(len, tables))

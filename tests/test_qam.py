@@ -13,7 +13,6 @@ from modmatroid.matroids import (
     Realization,
     ZMatroid,
     from_realization,
-    popcount,
     random_realization,
     subset_key,
     subsets,
@@ -197,7 +196,7 @@ def _is_molecule(rk, a: int, d: int, f: int) -> bool:
     """Does the rank grow by exactly |C n F| on every A <= C <= A u D?"""
     c = d
     while True:
-        if rk[a | c] != rk[a] + popcount(c & f):
+        if rk[a | c] != rk[a] + (c & f).bit_count():
             return False
         if c == 0:
             return True

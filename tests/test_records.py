@@ -23,7 +23,8 @@ G = FgAbGroup(1, (2, 4))
 TV = TropicalViolation("three-term", (1, 2, INF), "b")
 
 # (class, positional arguments, the same by keyword, repr); the reprs are
-# those the dataclass versions printed
+# those the dataclass versions printed, but for the two tables, which
+# print their stored fields: the distinct entries and a code per subset
 RECORDS = [
     (SnfResult, ((1, 2), [[1, 0], [0, 1]], None, None),
      dict(d=(1, 2), u=[[1, 0], [0, 1]], v=None, uinv=None),
@@ -33,10 +34,10 @@ RECORDS = [
     (DMod, (1, (3, 1)), dict(rank=1, exps=(3, 1)), "DMod(rank=1, exps=(3, 1))"),
     (ZMatroid, (("a",), (G, FgAbGroup()), True),
      dict(labels=("a",), table=(G, FgAbGroup()), verified=True),
-     "ZMatroid(labels=('a',), table=(FgAbGroup(rank=1, factors=(2, 4)),"
-     " FgAbGroup(rank=0, factors=())), verified=True)"),
-    (DvrMatroid, (("a",), (DMod(1), DMod())), dict(labels=("a",), table=(DMod(1), DMod())),
-     "DvrMatroid(labels=('a',), table=(DMod(rank=1, exps=()), DMod(rank=0, exps=())))"),
+     "ZMatroid(labels=('a',), entries=(FgAbGroup(rank=1, factors=(2, 4)),"
+     " FgAbGroup(rank=0, factors=())), code=(0, 1), verified=True)"),
+    (DvrMatroid, (("a",), (DMod(1), DMod(1))), dict(labels=("a",), table=(DMod(1), DMod(1))),
+     "DvrMatroid(labels=('a',), entries=(DMod(rank=1, exps=()),), code=(0, 0))"),
     (Realization, (("a",), [[2]], [[1]]), dict(labels=("a",), relations=[[2]], vectors=[[1]]),
      "Realization(labels=('a',), relations=[[2]], vectors=[[1]])"),
     (Violation, (1, "b", "c", "L2a", 2, 1),
@@ -128,6 +129,23 @@ def test_zmatroid_equality_ignores_verified():
     assert a == b and hash(a) == hash(b)
     assert a.verified and not b.verified
     assert a != ZMatroid(("b",), (G, FgAbGroup()), verified=True)
+    assert pickle.loads(pickle.dumps(a)).verified and not pickle.loads(pickle.dumps(b)).verified
+
+
+@pytest.mark.parametrize("cls, args", [(ZMatroid, (("a",), (G, FgAbGroup()), True)),
+                                       (DvrMatroid, (("a",), (DMod(1), DMod())))],
+                         ids=["ZMatroid", "DvrMatroid"])
+def test_tables_store_entries_and_code_and_derive_table(cls, args):
+    rec = cls(*args)
+    assert rec.entries == args[1] and rec.code == (0, 1) and rec.table == args[1]
+    # the view reads through the code: an index is an entry, a slice a tuple
+    assert rec.table[1] == args[1][1] and rec.table[::-1] == args[1][::-1]
+    assert len(rec.table) == 2 and list(rec.table) == list(args[1]) and rec.table != args[1][:1]
+    for field in ("entries", "code", "table"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+    with pytest.raises(ValueError):  # a field too many
+        cls.from_code(rec.labels, rec.entries.__getitem__, rec.code, *args[2:], None)
 
 
 def test_tutte_class_is_mutable_unhashable_and_drops_zeros():
