@@ -37,6 +37,7 @@ from .matroids import (
     ZMatroid,
     contract,
     delete,
+    essentialize,
     from_realization,
     is_matroid,
     localize_matroid,
@@ -60,7 +61,6 @@ from .tutte import (
     quasi_tutte_eval,
     tutte_class,
 )
-from . import matroids as _matroids
 
 
 def _horizon(text: str):
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
             return 0
 
         if cmd == "essentialize":
-            m, split = _matroids.essentialize(_verified(args.input))
+            m, split = essentialize(_verified(args.input))
             print(f"split_rank={split}", file=sys.stderr)
             print(dumps(emit_matroid_document(m)))
             return 0

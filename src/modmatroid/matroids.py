@@ -27,7 +27,7 @@ from .abgroups import (
 from .intmat import Mat, Record, setfield, shape
 from .surjections import (
     NO_PAIR,
-    check_m1,
+    check_m1,  # not called here; perfbench/spans.py traces calls through this name
     check_square,
     exact_cap,
     square_screen,
@@ -265,18 +265,18 @@ def from_realization(r: Realization) -> ZMatroid:
     return ZMatroid.from_code(r.labels, groups.__getitem__, code, True)
 
 
-def _walk(labels, code, entries, lo, hi, bad, passed):
+def _walk(labels, code, entries, lo, hi, bad):
     """The axiom in scan order over the subsets lo <= A < hi.
 
     Subsets ascend by bitmask; within a subset, pairs (b, c) ascend by
     label position with b <= c.  The b = c diagonal is the degenerate
-    square (A, Ab, Ab, Ab), the single-element check, decided by
-    check_m1.  Swapping b and c gives the same square, so scanning
-    ordered pairs would locate the same first failure.  ``code`` numbers
-    the table's entries; ``entries`` maps numbers back.  Only square
-    keys (tuples of numbers) in ``bad`` are decided, all others being
-    known to pass; a key that passes moves from ``bad`` to ``passed``.
-    Returns the first violation, or None.
+    square (A, Ab, Ab, Ab), the single-element check, which check_square
+    decides like any other.  Swapping b and c gives the same square, so
+    scanning ordered pairs would locate the same first failure.
+    ``code`` numbers the table's entries; ``entries`` maps numbers back.
+    Only square keys (tuples of numbers) in ``bad`` are decided, in
+    full, all others being known to pass; a key that passes leaves
+    ``bad``.  Returns the first violation, or None.
     """
     e = len(labels)
     for mask in range(lo, hi):
@@ -290,14 +290,10 @@ def _walk(labels, code, entries, lo, hi, bad, passed):
                 ci = outside[y]
                 key = (a, b, above[y], code[bmask | 1 << ci])
                 if key in bad:
-                    if y == x:
-                        v = check_m1(entries[a], entries[b])
-                    else:
-                        v = check_square(*(entries[n] for n in key))
+                    v = check_square(*map(entries.__getitem__, key))
                     if not v.ok:
                         return Violation(mask, labels[bi], labels[ci], v.kind, v.prime, v.index)
                     bad.discard(key)
-                    passed.add(key)
     return None
 
 
@@ -321,50 +317,56 @@ _INSIDE = [_inside(k) for k in range(_BASE + 1)]
 class _Memo:
     """What the certifier keeps between calls, under integer names.
 
-    Groups are numbered in order of first sight, with their support
-    primes.  Equal subcubes of tables are shared in a subset tree: a
-    node at level k stands for 2^k consecutive entries (the subsets
-    L + offset, L < 2^k); up to level 3 it is keyed by its tuple of
-    entry numbers, above it by the pair of its halves, and ``nodes[k]``
-    numbers the level's nodes (``kids[k]`` maps numbers back).  Square
-    keys (tuples of group numbers, the degenerate (A, Ab, Ab, Ab) among
-    them) are gathered from tuples of nodes (``block_keys``); ``done``
-    holds the tuples of level 3 and above whose keys are all certified
-    to pass, and ``passed`` the keys that passed only through the full
-    decision.  Local modules are numbered too: ``local[p]`` maps a group
-    number to the number of its localization at p, or at the generic
-    point (its free part) for p None.  Stage 1-2 decisions are kept per
-    (cap, local quadruple).  Tables that share entries or subcubes (a
-    table and edited copies of it, say) share the work.
+    Groups are numbered in order of first sight, and so are their local
+    modules, once per group when it is first seen: ``local[i]`` maps
+    None to the number of group i's free part (its localization at the
+    generic point) and each support prime p of the group to the number
+    of its localization at p; at any other prime the localization is
+    the free part.  Equal subcubes of tables are shared in a subset
+    tree: a node at level k stands for 2^k consecutive entries (the
+    subsets L + offset, L < 2^k); up to level 3 it is keyed by its
+    tuple of entry numbers, above it by the pair of its halves, and
+    ``nodes[k]`` numbers the level's nodes (``kids[k]`` maps numbers
+    back).  Square keys (tuples of group numbers, the degenerate
+    (A, Ab, Ab, Ab) among them) are gathered from tuples of nodes
+    (``block_keys``); ``done`` holds the tuples of level 3 and above
+    whose keys are all certified to pass.  Stage 1-2 decisions are kept
+    per (cap, local quadruple); full decisions only in check_square's
+    cache.  Tables that share entries or subcubes (a table and edited
+    copies of it, say) share the work.
     """
 
     def __init__(self):
         self.ids: dict[FgAbGroup, int] = {}
         self.groups: list[FgAbGroup] = []
-        self.primes: list[tuple[int, ...]] = []
+        self.local: list[dict[int | None, int]] = []
         self.nodes: list[dict[tuple, int]] = [{} for _ in range(MAX_GROUND + 1)]
         self.kids: list[list[tuple]] = [[] for _ in range(MAX_GROUND + 1)]
         self.done: set[tuple] = set()
-        self.passed: set[tuple] = set()
         self.mod_ids: dict[DMod, int] = {}
         self.mods: list[DMod] = []
-        self.local: dict[int | None, dict[int, int]] = {None: {}}
         self.square: dict[tuple, bool] = {}
 
     def size(self) -> int:
-        return (len(self.groups) + sum(map(len, self.kids)) + len(self.done)
-                + len(self.passed) + len(self.mods) + len(self.square)
-                + sum(map(len, self.local.values())))
+        return (len(self.groups) + sum(map(len, self.local)) + sum(map(len, self.kids))
+                + len(self.done) + len(self.mods) + len(self.square))
 
     def number(self, m: ZMatroid) -> list[int]:
         """The group number of each subset's entry, numbering the
-        entries not seen before."""
-        ids = self.ids
+        entries not seen before and their local modules."""
+        ids, mod_ids = self.ids, self.mod_ids
         for g in m.entries:
             if g not in ids:
                 ids[g] = len(self.groups)
                 self.groups.append(g)
-                self.primes.append(support_primes(g))
+                local = {None: DMod(g.rank)}
+                local.update((p, localize(g, p)) for p in support_primes(g))
+                for p, mod in local.items():
+                    if mod not in mod_ids:
+                        mod_ids[mod] = len(self.mods)
+                        self.mods.append(mod)
+                    local[p] = mod_ids[mod]
+                self.local.append(local)
         return list(map([ids[g] for g in m.entries].__getitem__, m.code))
 
     def tree(self, code: list[int], t: int) -> list[int]:
@@ -462,49 +464,30 @@ class _Memo:
                 P(t, a, top[j | b], ac, top[j | b | c])
         return out
 
-    def localized(self, p: int | None, gids) -> dict[int, int]:
-        of = self.local.setdefault(p, {})
-        generic = self.local[None]
-        for i in gids:
-            if i not in of:
-                g = self.groups[i]
-                if p is not None and p not in self.primes[i]:
-                    of[i] = generic[i]  # numbered at the generic point first
-                    continue
-                m = DMod(g.rank) if p is None else localize(g, p)
-                j = self.mod_ids.get(m)
-                if j is None:
-                    j = self.mod_ids[m] = len(self.mods)
-                    self.mods.append(m)
-                of[i] = j
-        return of
-
     def screen(self, squares: set[tuple]) -> set[tuple]:
-        """Stages 1-2 for the keys: at the generic point, and at every
-        prime of their entries (at any other prime a key's local modules
-        are its free parts, as at the generic point).  Returns the keys
-        that did not pass everywhere."""
-        primes, mods, seen = self.primes, self.mods, self.square
-        work = {None: squares}
-        for k in squares:
-            for p in {*primes[k[0]], *primes[k[1]], *primes[k[2]], *primes[k[3]]}:
-                work.setdefault(p, []).append(k)
+        """Stages 1-2 for the keys, in one pass: at the generic point (the
+        None of each group's local map), and at every prime of their
+        entries (at any other prime a key's local modules are its free
+        parts, as at the generic point), each (cap, local quadruple)
+        decided once.  Returns the keys that did not pass everywhere."""
+        local, mods, seen = self.local, self.mods, self.square
         bad: set[tuple] = set()
-        for p, qs in work.items():
-            of = self.localized(p, set().union(*qs))
-            cap = exact_cap(p)
-            for k in qs:
-                key = cap, of[k[0]], of[k[1]], of[k[2]], of[k[3]]
+        for k in squares:
+            l0, l1, l2, l3 = map(local.__getitem__, k)
+            f0, f1, f2, f3 = l0[None], l1[None], l2[None], l3[None]
+            for p in {*l0, *l1, *l2, *l3}:
+                key = (exact_cap(p), l0.get(p, f0), l1.get(p, f1), l2.get(p, f2), l3.get(p, f3))
                 ok = seen.get(key)
                 if ok is None:
-                    ok = seen[key] = square_screen(cap, *(mods[j] for j in key[1:]))
+                    ok = seen[key] = square_screen(key[0], *map(mods.__getitem__, key[1:]))
                 if not ok:
                     bad.add(k)
+                    break
         return bad
 
 
-# Bound on what the certifier keeps between calls (groups, tree nodes,
-# certified tuples, keys, local modules and decisions), as for the
+# Bound on what the certifier keeps between calls (groups and their local
+# modules, tree nodes, certified tuples and decisions), as for the
 # check_square cache; checked after each call.
 _MEMO_BOUND = 1 << 18
 _memo = _Memo()
@@ -518,17 +501,19 @@ def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
     keys, the degenerate b = c ones included, are gathered from the
     memo's subset tree, skipping the tuples of nodes certified before
     (by this call or an earlier one, on this table or one sharing its
-    subcubes) and the keys that passed the full decision before.  They
-    are screened at the generic point (free ranks) and at each prime of
-    their entries, at stages 1-2 of the local decision (sequence
-    conditions and summand supply).  A key that passes everywhere
-    passes check_square, so a block whose keys all pass needs no more.
-    Otherwise the block is walked in scan order, and the keys that
-    failed the screen go to check_m1 (b = c) and check_square, which may
-    still pass them through the witness search.  The walk stops at the
-    first violation, which is therefore the same, found by the same
-    witness searches, as a walk over every key; the block's tuples are
-    then not kept as certified.
+    subcubes).  They are screened at the generic point (free ranks) and
+    at each prime of their entries, at stages 1-2 of the local decision
+    (sequence conditions and summand supply), on the local modules the
+    memo numbered once per group.  A key that passes everywhere passes
+    check_square, so a block whose keys all pass needs no more.
+    Otherwise the block is walked in scan order, and each key that
+    failed the screen is decided in full by check_square, which may
+    still pass it through the witness search.  No set of keys passed
+    that way is kept: a later block or call screens such a key out
+    again and its walk asks check_square again, a cache hit.  The walk
+    stops at the first violation, which is therefore the same, found by
+    the same witness searches, as a walk over every key; the block's
+    tuples are then not kept as certified.
     """
     code = memo.number(m)
     e = len(m.labels)
@@ -536,13 +521,11 @@ def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
     top = memo.tree(code, t)
     for j in range(len(top)):
         new: list[tuple] = []
-        keys = memo.block_keys(top, t, e, j, new)
-        keys.difference_update(memo.passed)
-        bad = memo.screen(keys)
+        bad = memo.screen(memo.block_keys(top, t, e, j, new))
         if not bad:
             continue
         lo = j << t
-        v = _walk(m.labels, code, memo.groups, lo, lo + (1 << t), bad, memo.passed)
+        v = _walk(m.labels, code, memo.groups, lo, lo + (1 << t), bad)
         if v is not None:
             memo.done.difference_update(new)
             return Verdict(False, v)

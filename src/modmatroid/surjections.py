@@ -161,61 +161,27 @@ def square_failure_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> SquareVerdict
     return _OK
 
 
-def _deltas(hi: DMod, lo: DMod, top: int) -> list[int]:
-    """Entrywise d-sequence drop d_i(hi) - d_i(lo) for i = 1..top+1."""
-    return [a - b for a, b in zip(d_seq(hi, top + 1), d_seq(lo, top + 1))]
+def _runs(hi: DMod, lo: DMod, top: int) -> list[tuple[int, int | float]]:
+    """Maximal blocks of ones in the drop d_i(hi) - d_i(lo), i = 1..top+1,
+    as [start, end) windows, 0-based.
 
-
-def _descents(delta: list[int]) -> set[int]:
-    """Positions where a block of ones in a drop sequence closes."""
-    return {i + 1 for i in range(len(delta) - 1) if delta[i] == 1 and delta[i + 1] == 0}
-
-
-def _runs(delta: list[int], tail: int) -> list[tuple[int, int | float]]:
-    """Maximal blocks of ones as [start, end) windows, 0-based.
-
-    ``tail`` is the eventual value past the listed entries, so a block
-    still open at the end of the list has end = INF exactly when the
-    sequence stays 1 forever (a drop of free rank).
+    ``top`` is at least every exponent of hi and lo, so the drop at
+    i = top+1 is the rank drop, constant from there on: a block still
+    open there never closes, and its end is INF.  When every drop is 0
+    or 1, the finite ends are the descents, where a block of ones closes.
     """
     runs: list[tuple[int, int | float]] = []
-    i = 0
-    n = len(delta)
-    while i < n:
-        if delta[i] == 1:
-            j = i
-            while j < n and delta[j] == 1:
-                j += 1
-            runs.append((i, INF) if j == n and tail == 1 else (i, j))
-            i = j
-        else:
-            i += 1
-    if tail == 1 and (not runs or runs[-1][1] is not INF):
-        runs.append((n, INF))
+    start = None
+    for i, (a, b) in enumerate(zip(d_seq(hi, top + 1), d_seq(lo, top + 1))):
+        if a - b != 1:
+            if start is not None:
+                runs.append((start, i))
+                start = None
+        elif start is None:
+            start = i
+    if start is not None:
+        runs.append((start, INF))
     return runs
-
-
-def _shortfalls(
-    n0: DMod, n1: DMod, n2: DMod, n12: DMod, top: int
-) -> list[tuple[int, int, int]]:
-    """Joint descents of the lower kernels that lack a spare summand of N0.
-
-    Building a square from the sequence conditions consumes, at every
-    index i where the drop sequences of both N1 -> N12 and N2 -> N12
-    close a block, one summand of N0 of exponent exactly i beyond those
-    consumed at i by the maps out of N0.  Returns (i, have, need) for
-    every index where that supply falls short; an empty list means the
-    construction goes through and the square exists.
-    """
-    upper = _descents(_deltas(n0, n1, top)) | _descents(_deltas(n0, n2, top))
-    joint = _descents(_deltas(n1, n12, top)) & _descents(_deltas(n2, n12, top))
-    mult = Counter(n0.exps)
-    out = []
-    for i in sorted(joint):
-        need = 1 + (1 if i in upper else 0)
-        if mult[i] < need:
-            out.append((i, mult[i], need))
-    return out
 
 
 def _local_cokernel(rows: list[list[int]], ncols: int, p: int) -> DMod:
@@ -259,8 +225,8 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     _SEARCH_GUARD and the first success are those of the plain loop.
     """
     top = _nmax(n0, n1, n2, n12)
-    phi_runs = _runs(_deltas(n0, n1, top), n0.rank - n1.rank)
-    psi_prime_runs = _runs(_deltas(n1, n12, top), n1.rank - n12.rank)
+    phi_runs = _runs(n0, n1, top)
+    psi_prime_runs = _runs(n1, n12, top)
 
     exps = list(n0.exps)
     k = len(exps)
@@ -386,13 +352,32 @@ def exact_cap(p: int | None) -> int:
     return 0 if p is None else _EXACT_CAPS.get(p, _EXACT_CAP_DEFAULT)
 
 
-def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list:
-    """Stage 2: the supply shortfalls of a torsion quadruple whose
-    exponents stay within ``cap``; empty otherwise, where stage 1 alone
-    decides."""
+def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list[int]:
+    """Stage 2: the joint descents of the lower kernels that lack a spare
+    summand of N0, for a square that passes stage 1.
+
+    Building a square from the sequence conditions consumes, at every
+    index i where the drop sequences of both N1 -> N12 and N2 -> N12
+    close a block, one summand of N0 of exponent exactly i beyond those
+    consumed at i by the maps out of N0.  Returns every index where that
+    supply falls short, ascending; an empty list means the construction
+    goes through and the square exists.  Only torsion quadruples whose
+    exponents stay within ``cap`` are audited; on others stage 1 alone
+    decides, and the list is empty.
+    """
     if n0.rank > 0 or max(m.max_exp for m in (n0, n1, n2, n12)) > cap:
         return []
-    return _shortfalls(n0, n1, n2, n12, _nmax(n0, n1, n2, n12))
+    top = _nmax(n0, n1, n2, n12)
+
+    def descents(hi: DMod, lo: DMod) -> set[int]:
+        # stage 1 passed and every rank is 0, so every drop is 0 or 1 and
+        # every block closes: its end is a descent
+        return {e for _, e in _runs(hi, lo, top)}
+
+    upper = descents(n0, n1) | descents(n0, n2)
+    mult = Counter(n0.exps)
+    return [i for i in sorted(descents(n1, n12) & descents(n2, n12))
+            if mult[i] < 1 + (i in upper)]
 
 
 def square_screen(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> bool:
@@ -434,5 +419,5 @@ def check_square(
             return SquareVerdict(False, f.kind, p, f.index)
         short = _unsupplied(exact_cap(p), *local)
         if short and not _witness_search(*local, p):
-            return SquareVerdict(False, NO_PAIR, p, short[0][0])
+            return SquareVerdict(False, NO_PAIR, p, short[0])
     return _OK

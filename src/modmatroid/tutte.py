@@ -130,10 +130,8 @@ def quasi_tutte_eval(m: ZMatroid, x: int, y: int) -> int:
     the whole tag order survives.
     """
     q = (x - 1) * (y - 1)
-    return sum(
-        coeff * math.prod(math.gcd(f, q) for f in tag) * (x - 1) ** c * (y - 1) ** n
-        for (c, n, tag), coeff in tutte_class(m).terms.items()
-    )
+    t = tutte_class(m)
+    return poly_eval(_specialize(t, lambda tag: math.prod(math.gcd(f, q) for f in tag)), x, y)
 
 
 def poly_eval(p: Poly2, x: int, y: int) -> int:

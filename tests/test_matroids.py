@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modmatroid import matroids, surjections
-from modmatroid.abgroups import DMod, FgAbGroup, TRIVIAL, canonicalize, cokernel
+from modmatroid.abgroups import (
+    DMod,
+    FgAbGroup,
+    TRIVIAL,
+    canonicalize,
+    cokernel,
+    localize,
+    support_primes,
+)
 from modmatroid.matroids import (
     MatroidError,
     Realization,
@@ -555,6 +563,46 @@ def test_single_element_violation_is_named_on_the_diagonal(above, want):
     assert verdict.violation.describe(m.labels) == f"A={{}} b=a c=a: {want}"
 
 
+def test_walk_decides_every_key_through_check_square(monkeypatch):
+    # the benchmark's traced runs count the calls through the scan's
+    # check_square and check_m1 and require each count to equal the
+    # change in that cache's hits + misses; the walk decides the b = c
+    # keys by check_square too, and leaves check_m1's cache alone
+    calls = []
+    decide = matroids.check_square
+    monkeypatch.setattr(matroids, "check_square", lambda *g: calls.append(g) or decide(*g))
+    monkeypatch.setattr(matroids, "_memo", matroids._Memo())
+
+    def count(fn):
+        info = fn.cache_info()
+        return info.hits + info.misses
+
+    squares, singles = count(check_square), count(check_m1)
+    m = ZMatroid(("a",), (FgAbGroup(0, (2, 2)), TRIVIAL))
+    verdict = is_matroid(m)
+    assert verdict.violation.describe(m.labels) == "A={} b=a c=a: M1-local p=2 n=1"
+    assert calls == [(FgAbGroup(0, (2, 2)), TRIVIAL, TRIVIAL, TRIVIAL)]
+    assert count(check_square) - squares == len(calls)
+    assert count(check_m1) == singles
+
+
+def test_memo_localizes_each_group_once_per_prime(monkeypatch):
+    # local modules are numbered when a group is first seen: a second scan,
+    # of a copy with one entry changed, localizes only the new entry
+    calls = []
+    monkeypatch.setattr(matroids, "localize", lambda g, p: calls.append((g, p)) or localize(g, p))
+    monkeypatch.setattr(matroids, "_memo", matroids._Memo())
+    m = from_realization(Realization(("a", "b", "c"), [[8, 0], [0, 9]], [[1, 2, 3], [1, 1, 2]]))
+    assert is_matroid(ZMatroid(m.labels, m.table)).ok
+    assert calls == [(g, p) for g in m.entries for p in support_primes(g)]
+    table = list(m.table)
+    table[0] = new = changed(table[0], "torsion", 5)
+    assert new not in m.entries and support_primes(new) == (2, 3, 5)
+    calls.clear()
+    is_matroid(ZMatroid(m.labels, tuple(table)))
+    assert calls == [(new, p) for p in support_primes(new)]
+
+
 def test_diagonal_violation_in_a_realized_table():
     # two free summands added to M({a}): its rank now exceeds M({})'s
     m = from_realization(random_realization(random.Random(5), max_dim=4, n_labels=3))
@@ -588,9 +636,11 @@ def test_certifier_memo_is_bounded(monkeypatch):
         assert is_matroid(ZMatroid(m.labels, m.table)).ok
         assert matroids._memo.size() <= 50
     # the size counts tree nodes and certified tuples: a 5-label table of
-    # equal entries keeps one group, one level-3 node, the tuples S, E and
-    # the degenerate P of that node, one local module at the generic
-    # point and one local decision, 8 items, so a bound of 7 drops it
+    # equal entries keeps one group with the number of its one local
+    # module (its free part, as it has no support prime), one level-3
+    # node, the tuples S, E and the degenerate P of that node, the local
+    # module itself and one local decision, 8 items, so a bound of 7
+    # drops it
     monkeypatch.setattr(matroids, "_memo", matroids._Memo())
     equal = ZMatroid(tuple("abcde"), (FgAbGroup(1),) * 32)
     assert is_matroid(equal).ok

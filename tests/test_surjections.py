@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modmatroid import surjections
-from modmatroid.abgroups import INF, DMod, FgAbGroup, TRIVIAL, canonicalize, localize
+from modmatroid.abgroups import INF, DMod, FgAbGroup, TRIVIAL, canonicalize, d_seq, localize
 from modmatroid.intmat import smith_normal_form, transpose
 from modmatroid.matroids import Realization, from_realization, subsets
 from modmatroid.oracle import abelian_p_groups
@@ -16,7 +16,6 @@ from modmatroid.surjections import (
     M1_LOCAL,
     NO_PAIR,
     RANK_DROP,
-    _deltas,
     _local_cokernel,
     _nmax,
     _runs,
@@ -197,14 +196,70 @@ def test_single_element_check_leaves_the_square_cache_alone():
     assert check_square.cache_info().hits + check_square.cache_info().misses == 0
 
 
+# The drop-sequence helpers as they were before _runs read the two modules
+# directly, kept verbatim (but for the names) as oracles for _runs and
+# for _reference_witness_search.
+def _ref_deltas(hi: DMod, lo: DMod, top: int) -> list[int]:
+    """Entrywise d-sequence drop d_i(hi) - d_i(lo) for i = 1..top+1."""
+    return [a - b for a, b in zip(d_seq(hi, top + 1), d_seq(lo, top + 1))]
+
+
+def _ref_descents(delta: list[int]) -> set[int]:
+    """Positions where a block of ones in a drop sequence closes."""
+    return {i + 1 for i in range(len(delta) - 1) if delta[i] == 1 and delta[i + 1] == 0}
+
+
+def _ref_runs(delta: list[int], tail: int) -> list[tuple[int, int | float]]:
+    """Maximal blocks of ones as [start, end) windows, 0-based.
+
+    ``tail`` is the eventual value past the listed entries, so a block
+    still open at the end of the list has end = INF exactly when the
+    sequence stays 1 forever (a drop of free rank).
+    """
+    runs: list[tuple[int, int | float]] = []
+    i = 0
+    n = len(delta)
+    while i < n:
+        if delta[i] == 1:
+            j = i
+            while j < n and delta[j] == 1:
+                j += 1
+            runs.append((i, INF) if j == n and tail == 1 else (i, j))
+            i = j
+        else:
+            i += 1
+    if tail == 1 and (not runs or runs[-1][1] is not INF):
+        runs.append((n, INF))
+    return runs
+
+
+def test_runs_match_the_drop_sequence_reference():
+    # on every pair of the 105-module grid, at the pair's own horizon and
+    # beyond it; the finite ends are the descents when every drop is 0 or 1
+    mods = [DMod(r, exps) for r in range(3) for k in range(4)
+            for exps in combinations_with_replacement(range(4, 0, -1), k)]
+    assert len(mods) == 105
+    unit_drops = 0
+    for hi, lo in product(mods, repeat=2):
+        for top in (_nmax(hi, lo), _nmax(hi, lo) + 2):
+            delta = _ref_deltas(hi, lo, top)
+            runs = _runs(hi, lo, top)
+            assert runs == _ref_runs(delta, hi.rank - lo.rank), (hi, lo, top)
+            if set(delta) <= {0, 1}:
+                unit_drops += 1
+                assert {e for _, e in runs if e is not INF} == _ref_descents(delta), (hi, lo)
+    assert unit_drops == 2100
+
+
 def _reference_witness_search(n0, n1, n2, n12, p):
     """The candidate loop before classes were shared: two integer
     cokernels per candidate y.  Kept as the oracle for _witness_search,
     verbatim but for reading the guard through the module, so that a
-    patched _SEARCH_GUARD holds for both."""
+    patched _SEARCH_GUARD holds for both, and for the reference copies
+    of the drop-sequence helpers."""
     top = _nmax(n0, n1, n2, n12)
-    phi_runs = _runs(_deltas(n0, n1, top), n0.rank - n1.rank)
-    psi_prime_runs = _runs(_deltas(n1, n12, top), n1.rank - n12.rank)
+    phi_runs = _ref_runs(_ref_deltas(n0, n1, top), n0.rank - n1.rank)
+    psi_prime_runs = _ref_runs(_ref_deltas(n1, n12, top), n1.rank - n12.rank)
 
     exps = list(n0.exps)
     k = len(exps)
