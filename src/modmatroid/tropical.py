@@ -108,6 +108,11 @@ def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
     once, and only a violating class expands into its instances, listed
     in (A, B, a) order.  A class with X in Z and |Z| = |X| + 2 has two
     terms, both p[X + c] + p[X + c'], so it always holds and is skipped.
+    So does a class whose X is level-up (p[X + c] is the same for every
+    c outside X) and whose Z is level-down (p[Z - c] is the same for
+    every c in Z): its terms all equal one sum, and there are at least
+    two.  Realized heights are mostly level, so for a level-up X only
+    the Z that are not level-down are walked.
     ``size`` restricts A and B to subsets of that size, that is
     |X| = size - 1 and |Z| = size + 1.
     """
@@ -127,16 +132,22 @@ def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
     by_size = [[] for _ in range(e + 1)]
     for m in subsets(e):
         by_size[len(pos[m])].append(m)
+    # per size, the Z that are not level-down
+    unlevel = [[z for z in zs if len(set(map(flip[z].__getitem__, pos[z]))) > 1] for zs in by_size]
     found = []
     for k, z_sizes in walks:
-        near = set(by_size[k + 2])
+        near = set(by_size[k + 2]), set(unlevel[k + 2])
         for x in by_size[k]:
             up = flip[x]  # p[X + c] for c outside X
             outside = ~x
+            rest = pos[full ^ x]
+            # a level-up X fails only with a Z that is not level-down
+            level = len(set(map(up.__getitem__, rest))) == 1
+            zs = unlevel if level else by_size
             # the Z = X + c + c', whose two terms p[X + c] + p[X + c'] agree
-            two = [x | 1 << b | 1 << c for b, c in combinations(pos[full ^ x], 2)]
+            two = [x | 1 << b | 1 << c for b, c in combinations(rest, 2)]
             for z_size in z_sizes:
-                for z in by_size[z_size] if z_size > k + 2 else near.difference(two):
+                for z in zs[z_size] if z_size > k + 2 else near[level].difference(two):
                     down = flip[z]  # p[Z - c] for c in Z
                     terms = [up[c] + down[c] for c in pos[z & outside]]
                     if terms.count(min(terms)) < 2:  # all-INF terms count in full
@@ -185,6 +196,13 @@ def flag_pluecker_scan(
     C = A_e + B_e over the two sides in all ways preserving |A_e|.
     Splittings with fewer than two terms carry no content and are
     skipped.  Every checked relation is logged through ``sink``.
+
+    Each term of a pair is p[I + L] + p[I + D - L] for some L in D with
+    |L| = |A \\ B|, where I = A n B and D = A xor B.  When these sums all
+    agree the pair is level: each of its relations has that sum as MIN,
+    all C(|B \\ A| + 1, |A_e|) terms at it, and no violation, so its lines
+    are written without building terms.  A pair with |A \\ B| = 1 has a
+    single relation and is decided directly.
     """
     e = len(h.labels)
     if e > FLAG_SCAN_MAX_LABELS:
@@ -202,15 +220,39 @@ def flag_pluecker_scan(
         ])
     size = [len(t) - 1 for t in subs]
     names = [",".join(labels_of(h.labels, m)) for m in subsets(e)]
+    # wide[k]: the masks of at least k elements, in ascending order
+    wide = [[m for m in subsets(e) if size[m] >= k] for k in range(e + 1)]
     bad = []
     for a_mask in subsets(e):
-        a_size = size[a_mask]
-        for b_mask in subsets(e):
-            if a_size > size[b_mask]:
-                continue
+        for b_mask in wide[size[a_mask]]:
             a_only = a_mask & ~b_mask
+            if not a_only:
+                continue
             b_only = b_mask & ~a_mask
             swap = size[b_only]  # |B \ A|
+            # is the pair level (see above)?  With |A \ B| = 1 it has one
+            # relation, whose terms are all the sums: testing gains nothing
+            if a_only & a_only - 1:
+                both = a_mask & b_mask
+                diff = a_only | b_only
+                ls = subs[diff][size[a_only]]
+                s = ls[-1]  # compared last, so a pair that is not level stops early
+                lo = p[both | s] + p[both | diff ^ s]
+                for s in ls:
+                    if p[both | s] + p[both | diff ^ s] != lo:
+                        break
+                else:
+                    if sink is not None:
+                        tail = f" MIN {_fmt(lo)} COUNT "
+                        for ae_size in range(1, size[a_only] + 1):
+                            ends = [f"|{names[b_mask ^ be_mask]}|{names[be_mask]}{tail}"
+                                    f"{math.comb(swap + 1, ae_size)}"
+                                    for be_mask in subs[b_only][swap + 1 - ae_size]]
+                            for ae_mask in subs[a_only][ae_size]:
+                                head = f"RELATION {names[a_mask ^ ae_mask]}|{names[ae_mask]}"
+                                for end in ends:
+                                    sink(head + end)
+                    continue
             # |A_e| + |B_e| = swap + 1; as |A \ B| <= swap, B_e is never
             # empty, and an empty A_e would leave a single term
             for ae_size in range(1, size[a_only] + 1):
@@ -227,7 +269,7 @@ def flag_pluecker_scan(
                             sink(
                                 f"RELATION {names[af_mask]}|{names[ae_mask]}"
                                 f"|{names[bf_mask]}|{names[be_mask]} "
-                                f"MIN {_fmt(lo)} COUNT {k}"
+                                f"MIN {'INF' if lo == INF else lo} COUNT {k}"  # _fmt, inlined
                             )
                         if k < 2:
                             bad.append(TropicalViolation(
@@ -256,21 +298,21 @@ def valuated_matroid_check(m: DvrMatroid) -> TropicalVerdict:
     lab = m.labels
     bad = []
     ordered = sorted(bases)
+    pos = {s: [i for i in range(e) if s >> i & 1] for s in ordered}
     for a_mask in ordered:
         for b_mask in ordered:
-            for i in range(e):
-                if not (a_mask >> i & 1 and not b_mask >> i & 1):
+            if a_mask == b_mask:
+                continue
+            b_only = [j for j in pos[b_mask] if not a_mask >> j & 1]
+            for i in pos[a_mask]:
+                if b_mask >> i & 1:
                     continue
-                ok = False
-                for j in range(e):
-                    if not (b_mask >> j & 1 and not a_mask >> j & 1):
-                        continue
+                for j in b_only:
                     na = (a_mask & ~(1 << i)) | 1 << j
                     nb = (b_mask & ~(1 << j)) | 1 << i
                     if na in bases and nb in bases and v[a_mask] + v[b_mask] >= v[na] + v[nb]:
-                        ok = True
                         break
-                if not ok:
+                else:
                     bad.append(TropicalViolation(
                         f"valuated A={{{','.join(labels_of(lab, a_mask))}}} "
                         f"B={{{','.join(labels_of(lab, b_mask))}}} a={lab[i]}",

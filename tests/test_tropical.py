@@ -11,10 +11,13 @@ from modmatroid.abgroups import DMod, INF
 from modmatroid.matroids import (
     DvrMatroid,
     Realization,
+    essentialize,
     from_realization,
+    labels_of,
     localize_matroid,
     matroid_support_primes,
     random_realization,
+    subsets,
 )
 from modmatroid.tropical import (
     HeightFunction,
@@ -161,6 +164,110 @@ def test_valuated_violation_frozen():
     assert w.relation == "valuated A={1,2} B={3,4} a=1"
     assert w.terms == (0, 0)
     assert w.argmin == "no admissible exchange"
+
+
+def test_valuated_violations_across_two_labels():
+    # rank 2 on four labels: only the bases {1,2} and {3,4}, which differ
+    # in two labels, have low valuations, so neither exchange from one to
+    # the other keeps v(A) + v(B) >= v(A - a + b) + v(B - b + a)
+    low = {3: (), 12: (1,)}  # v({1,2}) = 0, v({3,4}) = 1, every other basis 2
+    m = DvrMatroid(("1", "2", "3", "4"), tuple(
+        DMod(2 - s.bit_count()) if s.bit_count() < 2
+        else DMod(0, low.get(s, (2,))) if s.bit_count() == 2 else DMod(0)
+        for s in range(16)))
+    got = valuated_matroid_check(m)
+    assert got == _ref_valuated(m)
+    assert [(w.relation, w.terms) for w in got.violations] == [
+        ("valuated A={1,2} B={3,4} a=1", (0, 1)),
+        ("valuated A={1,2} B={3,4} a=2", (0, 1)),
+        ("valuated A={3,4} B={1,2} a=3", (1, 0)),
+        ("valuated A={3,4} B={1,2} a=4", (1, 0)),
+    ]
+
+
+def _ref_valuated(m: DvrMatroid) -> TropicalVerdict:
+    """The exchange loop over every i, j in range(e), kept as it was written."""
+    rank, code = [g.rank for g in m.entries], m.code
+    if rank[code[m.full]] != 0:
+        raise ValueError("input is not essential; essentialize first")
+    e = len(m.labels)
+    r = rank[code[0]]
+    bases = {s for s in subsets(e) if s.bit_count() == r and rank[code[s]] == 0}
+    length = [g.length for g in m.entries]
+    v = {s: length[code[s]] for s in bases}
+    lab = m.labels
+    bad = []
+    ordered = sorted(bases)
+    for a_mask in ordered:
+        for b_mask in ordered:
+            for i in range(e):
+                if not (a_mask >> i & 1 and not b_mask >> i & 1):
+                    continue
+                ok = False
+                for j in range(e):
+                    if not (b_mask >> j & 1 and not a_mask >> j & 1):
+                        continue
+                    na = (a_mask & ~(1 << i)) | 1 << j
+                    nb = (b_mask & ~(1 << j)) | 1 << i
+                    if na in bases and nb in bases and v[a_mask] + v[b_mask] >= v[na] + v[nb]:
+                        ok = True
+                        break
+                if not ok:
+                    bad.append(TropicalViolation(
+                        f"valuated A={{{','.join(labels_of(lab, a_mask))}}} "
+                        f"B={{{','.join(labels_of(lab, b_mask))}}} a={lab[i]}",
+                        (v[a_mask], v[b_mask]),
+                        "no admissible exchange",
+                    ))
+    return TropicalVerdict(not bad, tuple(bad))
+
+
+def _valuated_tables():
+    """Realized essential tables at 4-6 labels with bases of 2 or more
+    labels, then the same tables with the lengths of two bases raised, then
+    random tables at 4-6 labels whose r-subsets (r = 2, 3) carry random
+    lengths, a fifth of them not bases."""
+    rng = random.Random(23)
+    realized = []
+    while len(realized) < 15:
+        real = random_realization(rng, max_dim=4, n_labels=rng.randint(4, 6), max_entry=6)
+        ess, _ = essentialize(from_realization(real))
+        loc = localize_matroid(ess, (matroid_support_primes(ess) or (2,))[0])
+        if loc.table[0].rank >= 2:
+            realized.append(loc)
+    perturbed = []
+    for loc in realized:
+        r = loc.table[0].rank
+        table = list(loc.table)
+        bases = [s for s in range(len(table)) if s.bit_count() == r and not table[s].rank]
+        for s in rng.sample(bases, min(2, len(bases))):
+            table[s] = DMod(0, (table[s].max_exp + rng.randint(1, 2),) + table[s].exps)
+        perturbed.append(DvrMatroid(loc.labels, tuple(table)))
+    synthetic = []
+    for _ in range(30):
+        e = rng.randint(4, 6)
+        r = rng.randint(2, 3)
+        table = []
+        for s in range(1 << e):
+            size = s.bit_count()
+            if size < r or size == r and rng.random() < 0.2:
+                table.append(DMod(max(1, r - size)))
+            else:
+                n = rng.randint(0, 3) if size == r else 0
+                table.append(DMod(0, (n,) if n else ()))
+        synthetic.append(DvrMatroid(tuple("abcdef"[:e]), tuple(table)))
+    return realized + perturbed + synthetic
+
+
+def test_valuated_matches_reference_loop():
+    tables = _valuated_tables()
+    verdicts = [_ref_valuated(m) for m in tables]
+    assert [valuated_matroid_check(m) for m in tables] == verdicts
+    # realized tables pass; raised lengths violate, often more than once
+    assert all(v.ok for v in verdicts[:15])
+    assert sum(not v.ok for v in verdicts[15:30]) > 5, verdicts[15:30]
+    assert sum(not v.ok for v in verdicts[30:]) > 15
+    assert max(len(v.violations) for v in verdicts) > 5
 
 
 @settings(max_examples=25, deadline=None)
@@ -349,6 +456,46 @@ def test_flag_scan_matches_reference():
         inf_terms += sum(INF in v.terms for v in verdict.violations)
     # the inputs do exercise violations, INF-valued terms and many relations
     assert failing and inf_terms and relations > 10_000, (failing, inf_terms, relations)
+
+
+def _near_level_heights():
+    """All-zero heights with one to three entries raised to 1, 2 or INF, at
+    3-7 labels, and all-INF heights: nearly every subset is level."""
+    rng = random.Random(19)
+    out = []
+    for e in range(3, 8):
+        lab = tuple("abcdefg"[:e])
+        out.append(HeightFunction(lab, INF, (INF,) * (1 << e)))
+        for _ in range(NEAR_LEVEL_COUNT[e]):
+            v = [0] * (1 << e)
+            for s in rng.sample(range(1 << e), rng.randint(1, 3)):
+                v[s] = rng.choice((1, 2, INF))
+            out.append(HeightFunction(lab, 2, tuple(v)))
+    return out
+
+
+NEAR_LEVEL_COUNT = {3: 40, 4: 40, 5: 20, 6: 6, 7: 2}
+
+
+def test_near_level_exchange_matches_reference():
+    failing = 0
+    for h in _near_level_heights():
+        got = [single_exchange_check(h)] + [dressian_check(h, r) for r in range(len(h.labels) + 1)]
+        want = [_ref_exchange(h)] + [_ref_exchange(h, r) for r in range(len(h.labels) + 1)]
+        assert got == want, h
+        failing += sum(not v.ok for v in want)
+    assert failing, failing
+
+
+def test_near_level_flag_scan_matches_reference():
+    failing = 0
+    for h in _near_level_heights():
+        got, want = [], []
+        verdict = flag_pluecker_scan(h, got.append)
+        assert verdict == _ref_flag_scan(h, want.append), h
+        assert got == want, h
+        failing += not verdict.ok
+    assert failing, failing
 
 
 def _exchange_class(v):
