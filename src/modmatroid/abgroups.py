@@ -182,6 +182,14 @@ def subset_cokernels(relations: Mat, columns: list[list[int]]) -> tuple[list, li
     form of the r x (<= r+1) matrix [diag(d) | U v].  Rows with d_i = 1
     are dropped and row i of U is reduced mod d_i where d_i != 0, which
     bounds entry growth; neither changes the map into the quotient.
+
+    A node with one live row calls no normal form: the cokernel of the
+    1 x 2 matrix [d | w] is Z/gcd(d, w), and U carries over as it is.
+    The normal form would differ only by the unit +-1 it may put on U's
+    one row.  No descendant gains a row, so every later step is again a
+    gcd of a diagonal with an entry of that row, and gcd(d, -x) =
+    gcd(d, x): the sign never reaches a diagonal, so neither the groups
+    nor their numbering change.
     """
     n, _ = shape(relations)
     e = len(columns)
@@ -211,13 +219,16 @@ def subset_cokernels(relations: Mat, columns: list[list[int]]) -> tuple[list, li
                 if j + 1 < e:
                     walk(child, j + 1, d, u)
                 continue
-            mat = [[d[i] if i == k else 0 for k in range(t)] + [w[i]] for i in range(len(d))]
             leaf = j + 1 == e
-            s = smith_normal_form(mat, () if leaf else ("u",))
-            moved = None if leaf else [
-                [sum(map(mul, srow, ucol)) for ucol in zip(*u)] for srow in s.u
-            ]
-            table[child], d2, u2 = node(s.d, moved, len(d))
+            if len(d) == 1:
+                table[child], d2, u2 = node((math.gcd(d[0], w[0]),), None if leaf else u, 1)
+            else:
+                mat = [[d[i] if i == k else 0 for k in range(t)] + [w[i]] for i in range(len(d))]
+                s = smith_normal_form(mat, () if leaf else ("u",))
+                moved = None if leaf else [
+                    [sum(map(mul, srow, ucol)) for ucol in zip(*u)] for srow in s.u
+                ]
+                table[child], d2, u2 = node(s.d, moved, len(d))
             if not leaf:
                 walk(child, j + 1, d2, u2)
 

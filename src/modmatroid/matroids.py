@@ -564,10 +564,19 @@ def _drop_label(labels: tuple[str, ...], a: str) -> tuple[tuple[str, ...], int]:
 
 def _minor(m: ZMatroid, a: str, bit: int) -> ZMatroid:
     """The subsets whose bit for ``a`` is ``bit``, with ``a`` dropped: in
-    mask order, runs of 2^pos entries at a stride of 2^(pos+1)."""
+    mask order, runs of 2^pos entries at a stride of 2^(pos+1).  There
+    are 2^(e-1-pos) runs; when they outnumber the 2^pos offsets within a
+    run, the entries are taken offset by offset instead, one strided
+    slice each, so at most 2^((e-1)/2) slices are made."""
     labels, pos = _drop_label(m.labels, a)
     step, code = 1 << pos, m.code
-    kept = chain.from_iterable(code[i:i + step] for i in range(bit << pos, len(code), step << 1))
+    start, stride, half = bit << pos, step << 1, len(code) >> 1
+    if step * step < half:
+        kept = [0] * half
+        for k in range(step):
+            kept[k::step] = code[start + k::stride]
+    else:
+        kept = chain.from_iterable(code[i:i + step] for i in range(start, len(code), stride))
     return ZMatroid.from_code(labels, m.entries.__getitem__, tuple(kept), m.verified)
 
 

@@ -81,7 +81,9 @@ def with_free_row(r: Realization) -> Realization:
 
 def small_realizations():
     rng = random.Random("interning")
-    for e in range(0, 7):
+    # up to 7 labels: the minors take runs at some label positions and
+    # strided slices at others
+    for e in range(0, 8):
         r = random_realization(rng, max_dim=4, n_labels=e)
         yield pytest.param(r, id=f"{e}-labels")
         yield pytest.param(with_free_row(r), id=f"{e}-labels-split")

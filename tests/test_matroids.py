@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modmatroid import matroids, surjections
+from modmatroid import abgroups, matroids, surjections
 from modmatroid.abgroups import (
     DMod,
     FgAbGroup,
@@ -300,6 +300,56 @@ def test_from_realization_matches_per_subset_cokernels(kind, count):
     for _ in range(count):
         real = kernel_case(rng, kind)
         assert from_realization(real).table == per_subset_cokernels(real), real
+
+
+def one_row_cases():
+    """Configurations whose walk reaches nodes with one live row: one
+    ambient row, with and without a relation column, and more rows that
+    drop to one partway (a cyclic cokernel below a root that is not)."""
+    yield Realization(tuple("abcdefg"), [[12]], [[-4, 6, -9, 3, -2, 0, 10]])
+    yield Realization(tuple("abcdef"), [[]], [[-6, 4, 0, -9, 15, -10]])
+    yield Realization(tuple("abcde"), [[0]], [[-8, -12, 6, -3, 5]])
+    # Z/4 + Z/6 + Z: after a and b one free row is left
+    yield Realization(tuple("abcdef"), [[4, 0], [0, 6], [0, 0]],
+                      [[1, 0, -3, 5, 2, 7], [0, 1, 7, -2, -6, 3], [0, 0, -4, 6, -9, 8]])
+    # Z/8 + Z/9 + Z: a kills the free row, and Z/8 + Z/9 is cyclic
+    yield Realization(tuple("abcdef"), [[8, 0], [0, 9], [0, 0]],
+                      [[0, 2, -6, 4, 0, 1], [0, -3, 6, 1, 5, -7], [1, 5, -2, 0, 3, 4]])
+    rng = random.Random("one-row")
+    for _ in range(12):
+        yield random_realization(rng, max_dim=1, max_entry=20, n_labels=rng.randint(1, 7))
+    for _ in range(12):
+        yield random_realization(rng, max_dim=3, n_labels=rng.randint(3, 7))
+
+
+def test_one_row_nodes_take_a_gcd(monkeypatch):
+    snf = abgroups.smith_normal_form
+    calls = []
+
+    def recording(mat, track=("u", "v")):
+        calls.append([row[:] for row in mat])
+        return snf(mat, track)
+
+    drops = 0
+    for real in one_row_cases():
+        want = per_subset_cokernels(real)
+        monkeypatch.setattr(abgroups, "smith_normal_form", recording)
+        calls.clear()
+        got = from_realization(real).table
+        monkeypatch.undo()
+        assert got == want, real
+        e, n = len(real.labels), len(real.relations)
+        assert len(calls[0]) == n  # the root
+        for mat in calls[1:]:
+            assert len(mat) > 1, (real, mat)
+            t = len(mat[0]) - 1  # torsion rows first; U v reduced mod each
+            assert all(0 <= mat[i][t] < mat[i][i] for i in range(t)), (real, mat)
+        # a node's live rows are its cokernel's generators; a node with
+        # children is a mask without the last label
+        generators = [g.rank + len(g.factors) for g in want]
+        drops += n > 1 and generators[0] > 1 and any(
+            generators[mask] == 1 for mask in range(1, 1 << (e - 1)))
+    assert drops >= 4
 
 
 def naive_scan(labels, table, m1_check, square_check) -> Verdict:
