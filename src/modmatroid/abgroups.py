@@ -297,7 +297,7 @@ def d_seq(m: DMod, n: int) -> list[int]:
 
 def d_leq(m: DMod, n):
     """Partial sum d_1 + ... + d_n; INF allowed (total length, or INF if free part)."""
-    if n is INF or (isinstance(n, float) and math.isinf(n)):
+    if n == INF:
         return INF if m.rank else sum(m.exps)
     if n < 1:
         raise ValueError("horizon must be at least 1")

@@ -15,6 +15,7 @@ exists).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .abgroups import (
@@ -44,7 +45,7 @@ from .matroids import (
     subset_keys,
     verify,
 )
-from .oracle import abelian_p_groups, pushout_oracle, surjection_oracle
+from .oracle import TRIAL_GUARD, abelian_p_groups, pushout_oracle, surjection_oracle
 from .qam import check_axioms, to_qam
 from .surjections import check_m1, check_square
 from .tropical import (
@@ -77,6 +78,14 @@ def _prime(text: str) -> int:
     if not is_probable_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
+
+
+def _max_order(text: str) -> int:
+    # pushout_oracle's bound on the order of N0; oracle-verify's time grows with it
+    n, most = int(text), math.isqrt(TRIAL_GUARD)
+    if n > most:
+        raise argparse.ArgumentTypeError(f"max order must be at most {most}")
+    return n
 
 
 def _labels_arg(text: str) -> list[str]:
@@ -127,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_prime, required=True)
     p = add("oracle-verify", "closed-form criteria against exhaustive search",
             doc=None)
-    p.add_argument("--max-order", type=int, default=64)
+    p.add_argument("--max-order", type=_max_order, default=64)
     return ap
 
 

@@ -39,19 +39,19 @@ the sequence conditions alone: a module presented as (rank, exponents)
 does not pin down a residue field, and the sequence conditions are the
 residue-independent part of the answer.
 
-Stages 2 and 3 refine the sequence conditions only on torsion
-quadruples (all four ranks zero) whose exponents at the prime stay
-within _EXACT_CAPS, the range where the canonical witness family has
-been checked exhaustively against elementwise quotient search.  With a
-free summand present the family is provably too narrow: for
-(Z+Z/4+Z/4, Z/16+Z/4+Z/4, Z/32+Z/4, Z/16+Z/4) the pair
+Stages 2 and 3 refine the sequence conditions only where the four free
+ranks agree and the exponents at the prime stay within _EXACT_CAPS, the
+range where the canonical witness family has been checked exhaustively
+against elementwise quotient search, and they see torsion parts only.
+Equal ranks lose nothing: x and y must be torsion, or a rank would
+drop, so a pair exists exactly when one exists for the torsion parts,
+and the lift (Z+Z/2+Z/8, Z+Z/4, Z+Z/4, Z+Z/2) of the smallest failure
+gets its verdict.  Where a rank drops the family is provably too narrow:
+for (Z+Z/4+Z/4, Z/16+Z/4+Z/4, Z/32+Z/4, Z/16+Z/4) the pair
 x = (16,0,0), y = (8,1,0) works, but y spends the free coordinate at a
 lower depth than x and no twist of the canonical candidates reaches it.
-Outside the refinement's range the sequence verdict stands, so there
-the test is necessary only: lifting the smallest failure by a free
-summand, (Z+Z/2+Z/8, Z+Z/4, Z+Z/4, Z+Z/2), passes every sequence test
-yet has no witness pair, since a pair for it would project to one for
-the torsion parts.
+There, as past the caps, the sequence verdict stands, so the test is
+necessary only.
 
 Over the integers the free ranks carry conditions of their own, read
 at the generic point (after tensoring with the rationals): each edge
@@ -73,7 +73,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from .abgroups import INF, DMod, FgAbGroup, cokernel, d_seq, localize, support_primes
+from .abgroups import INF, DMod, FgAbGroup, cokernel, d_seq, localize, pval, support_primes
 from .intmat import Record, setfield, smith_normal_form, transpose
 
 # failure kinds, also used verbatim in diagnostics
@@ -152,12 +152,12 @@ def square_failure_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> SquareVerdict
             return SquareVerdict(False, L2A, None, n)
         if d1[n - 1] != d2[n - 1] and acc != 0:
             return SquareVerdict(False, L2B, None, n)
-    # past ``top`` every d_n equals the rank, so L(n) moves linearly
-    slope = n0.rank - n1.rank - n2.rank + n12.rank
-    if slope < 0:
+    # past ``top`` every d_n equals the rank, so L(n) moves linearly.  No
+    # L2b is left to find there: with every edge drop 0 or 1, unequal
+    # ranks of N1 and N2 force slope 0, and d_top differs, so the loop
+    # has already required acc = 0 at n = top
+    if n0.rank - n1.rank - n2.rank + n12.rank < 0:
         return SquareVerdict(False, L2A, None, top + 1)
-    if n1.rank != n2.rank and (slope != 0 or acc != 0):
-        return SquareVerdict(False, L2B, None, top + 1)
     return _OK
 
 
@@ -209,91 +209,74 @@ def _unit_reps(p: int) -> list[int]:
 def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     """Decide a gray-zone square by enumerating verified element pairs.
 
-    Requires the sequence conditions to hold.  The element x with
-    N0/(x) = N1 is canonical up to an ambient automorphism: one summand
-    of exponent equal to the end of each block of the drop sequence,
-    with offsets forced by the block starts.  Any partner y reduces to
-    a*x - w where w runs over one carrier summand of N0/(rel, x) per
-    block of the N1 -> N12 drop sequence, again with forced offsets,
-    twisted by unit classes on carriers that interact with x.  Every
-    candidate pair is checked by recomputing all three quotients, so
-    True is unconditional; False means no candidate in the enumerated
-    family worked.  Both quotients of a candidate y depend only on its
-    element of N0 (each coordinate mod p^e_j), so each element is tested
-    once per search and the cost is bounded by the elements met, not by
-    the integer candidates; the candidate order, the count against
-    _SEARCH_GUARD and the first success are those of the plain loop.
+    Requires torsion modules (``check_square`` passes the torsion parts
+    of an equal-rank square) that pass the sequence conditions.  The
+    element x with N0/(x) = N1 is canonical up to an ambient
+    automorphism: one summand of exponent equal to the end of each block
+    of the drop sequence, with offsets forced by the block starts.  Any
+    partner y reduces to a*x - w where w runs over one carrier summand
+    of N0/(rel, x) per block of the N1 -> N12 drop sequence, again with
+    forced offsets, twisted by unit classes on carriers that interact
+    with x.  Every candidate pair is checked by recomputing all three
+    quotients, so True is unconditional; False means no candidate in
+    the enumerated family worked.  Both quotients of a candidate y
+    depend only on its element of N0 (each coordinate mod p^e_j), so
+    each element is tested once per search and the cost is bounded by
+    the elements met, not by the integer candidates; the candidate
+    order, the count against _SEARCH_GUARD and the first success are
+    those of the plain loop.
     """
     top = _nmax(n0, n1, n2, n12)
     phi_runs = _runs(n0, n1, top)
     psi_prime_runs = _runs(n1, n12, top)
 
-    exps = list(n0.exps)
-    k = len(exps)
-    n = k + n0.rank
-    rel = [[p ** exps[j] if i == j else 0 for j in range(n)] for i in range(k)]
+    exps = n0.exps
+    n = len(exps)
+    rel = [[p ** exps[j] if i == j else 0 for j in range(n)] for i in range(n)]
 
-    # canonical x: one exact-exponent summand per finite block, a free
-    # summand for an infinite one; offsets forced by the block starts
+    # canonical x: one exact-exponent summand per block, offsets forced
+    # by the block starts
     used: set[int] = set()
     x = [0] * n
     t = 0
     for s, e in phi_runs:
-        if e is INF:
-            idx = next((j for j in range(k, n) if j not in used), None)
-        else:
-            idx = next((j for j in range(k) if exps[j] == e and j not in used), None)
+        idx = next((j for j in range(n) if exps[j] == e and j not in used), None)
         if idx is None:
             return False
         used.add(idx)
         x[idx] = p ** (s - t)
-        t += 0 if e is INF else int(e) - s
+        t += e - s
     if _local_cokernel(rel + [x], n, p) != n1:
         raise RuntimeError("canonical element does not give the stated quotient")
 
     # basis of N0/(rel, x): columns of U^-1 with orders from the SNF
     snf = smith_normal_form(transpose(rel + [x]), ("uinv",))
     uinv = snf.uinv
-    orders = list(snf.d) + [0] * (n - len(snf.d))
-    gens: list[tuple[int | float, list[int]]] = []
-    for i in range(n):
-        o = orders[i]
-        if o == 1:
-            continue
-        vec = [uinv[r][i] for r in range(n)]
-        if o == 0:
-            gens.append((INF, vec))
-            continue
-        e = 0
-        while o % p == 0:
-            o //= p
-            e += 1
-        if o != 1:
+    gens: list[tuple[int, list[int]]] = []
+    for i, o in enumerate(snf.d):
+        e = pval(o, p)
+        if o != p**e:
             raise RuntimeError("foreign torsion in canonical quotient")
-        gens.append((e, vec))
+        if e:
+            gens.append((e, [uinv[r][i] for r in range(n)]))
 
     def untouched(vec: list[int]) -> bool:
         nz = [j for j in range(n) if vec[j]]
         return len(nz) == 1 and abs(vec[nz[0]]) == 1 and nz[0] not in used
 
-    # carrier candidates per block of the psi' profile: the exponent of
-    # the carrier must equal the block end
+    # per block of the psi' profile, carriers of exponent equal to the
+    # block end and the offset forced by the block start; no carrier or a
+    # negative offset means no element realizes the profile
     carrier_sets: list[list[int]] = []
-    for s, e in psi_prime_runs:
-        opts = [gi for gi, (eg, _) in enumerate(gens) if eg == e]
-        if not opts:
-            return False
-        carrier_sets.append(opts)
-
-    # offsets are forced by block starts; a negative offset means the
-    # profile is not realizable by any element
     coefs: list[int] = []
     t = 0
     for s, e in psi_prime_runs:
-        if s - t < 0:
+        opts = [gi for gi, (eg, _) in enumerate(gens) if eg == e]
+        if not opts or s - t < 0:
             return False
+        carrier_sets.append(opts)
         coefs.append(s - t)
-        t += 0 if e is INF else int(e) - s
+        t += e - s
 
     unit_reps = _unit_reps(p)
     a_opts = [0]
@@ -324,11 +307,10 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
                         "witness search budget exceeded; exponents too large"
                         " for the exact square decision"
                     )
-                y = [(a * xi - wi) % m for xi, wi, m in zip(x, w, mods)]
-                y += [a * xi - wi for xi, wi in zip(x[k:], w[k:])]
-                key = tuple(y)
+                key = tuple((a * xi - wi) % m for xi, wi, m in zip(x, w, mods))
                 if key in failed:
                     continue
+                y = list(key)
                 if (_local_cokernel(rel + [y], n, p) == n2
                         and _local_cokernel(rel + [x, y], n, p) == n12):
                     return True
@@ -361,16 +343,18 @@ def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list[int]:
     close a block, one summand of N0 of exponent exactly i beyond those
     consumed at i by the maps out of N0.  Returns every index where that
     supply falls short, ascending; an empty list means the construction
-    goes through and the square exists.  Only torsion quadruples whose
-    exponents stay within ``cap`` are audited; on others stage 1 alone
-    decides, and the list is empty.
+    goes through and the square exists.  Only quadruples whose four
+    ranks agree and whose exponents stay within ``cap`` are audited: a
+    common rank adds the same to every d_i, so the audit is that of the
+    torsion parts.  Where a rank drops, or an exponent passes the cap,
+    stage 1 alone decides, and the list is empty.
     """
-    if n0.rank > 0 or max(m.max_exp for m in (n0, n1, n2, n12)) > cap:
+    if n0.rank != n12.rank or max(m.max_exp for m in (n0, n1, n2, n12)) > cap:
         return []
     top = _nmax(n0, n1, n2, n12)
 
     def descents(hi: DMod, lo: DMod) -> set[int]:
-        # stage 1 passed and every rank is 0, so every drop is 0 or 1 and
+        # stage 1 passed and the ranks agree, so every drop is 0 or 1 and
         # every block closes: its end is a descent
         return {e for _, e in _runs(hi, lo, top)}
 
@@ -397,12 +381,12 @@ def check_square(
 ) -> SquareVerdict:
     """Square test over the integers with a located failure.
 
-    The sequence conditions decide almost every instance.  On torsion
+    The sequence conditions decide almost every instance.  On equal-rank
     quadruples within the validated exponent range, when they pass but
     the summand supply audit at some prime comes up short, the answer
-    comes from the verified witness search at that prime, and a miss is
-    reported as no-witness-pair at the blocked index.  When no prime
-    divides a torsion order, the slope conditions of the free ranks
+    comes from the verified witness search on the torsion parts at that
+    prime, and a miss is reported as no-witness-pair at the blocked
+    index.  When no prime divides a torsion order, the slope conditions of the free ranks
     decide, with prime None.  A witness search that raises is not cached
     and propagates.
     """
@@ -418,6 +402,6 @@ def check_square(
         if not f.ok:
             return SquareVerdict(False, f.kind, p, f.index)
         short = _unsupplied(exact_cap(p), *local)
-        if short and not _witness_search(*local, p):
+        if short and not _witness_search(*(DMod(0, m.exps) for m in local), p):
             return SquareVerdict(False, NO_PAIR, p, short[0])
     return _OK

@@ -64,14 +64,14 @@ class TropicalVerdict(Record):
 
 
 def heights(m: DvrMatroid, n) -> HeightFunction:
-    if n is not INF and n < 1:
+    if n < 1:
         raise ValueError("horizon must be at least 1")
     values = [d_leq(g, n) for g in m.entries]
     return HeightFunction(m.labels, n, tuple(map(values.__getitem__, m.code)))
 
 
 def _fmt(x) -> str:
-    return "INF" if x is INF or (isinstance(x, float) and math.isinf(x)) else str(x)
+    return "INF" if x == INF else str(x)
 
 
 def three_term_check(h: HeightFunction) -> TropicalVerdict:

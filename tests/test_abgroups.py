@@ -122,6 +122,14 @@ def test_d_arithmetic():
     assert d_leq(DMod(1, (2,)), INF) == INF
 
 
+def test_d_leq_rejects_minus_infinity():
+    # only INF itself is the total horizon; -inf is a horizon below 1
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        d_leq(DMod(0, (3, 2)), -math.inf)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        d_leq(DMod(1, ()), -math.inf)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 3), st.lists(st.integers(1, 6), max_size=5))
 def test_d_seq_counts_deep_summands(rank, exps):

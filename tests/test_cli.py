@@ -33,6 +33,17 @@ BAD_MATROID = {
         "1,2": {"rank": 0, "torsion": []},
     },
 }
+# the smallest torsion failure lifted by a free summand: every rank is 1,
+# so the square is decided on its torsion parts, where no pair is found
+LIFT_MATROID = {
+    "ground_set": ["a", "b"],
+    "modules": {
+        "": {"rank": 1, "torsion": [2, 8]},
+        "a": {"rank": 1, "torsion": [4]},
+        "b": {"rank": 1, "torsion": [4]},
+        "a,b": {"rank": 1, "torsion": [2]},
+    },
+}
 GOOD_REAL = {
     "ambient_relations": [[4, 0], [0, 2]],
     "generators": {"1": [1, 0], "2": [1, 1]},
@@ -104,6 +115,11 @@ def test_check_internal_failure_exits_3(run, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("error: witness search budget exceeded; exponents too large"
                    " for the exact square decision\n")
+
+
+def test_check_equal_rank_lift_is_undecided(run):
+    code, out, _ = run(["check"], LIFT_MATROID)
+    assert code == 4 and out == "undecided A={} b=a c=b: no-witness-pair p=2 n=2\n"
 
 
 def test_check_reads_stdin(monkeypatch, capsys):
@@ -330,6 +346,17 @@ def test_oracle_verify(run):
     assert "surjection pairs checked: 61" in lines
     assert "squares checked: 2417" in lines
     assert "disagreements: 0" in lines
+
+
+def test_oracle_verify_refuses_a_max_order_past_the_bound(capsys):
+    # 1000 is the order past which pushout_oracle refuses N0
+    args = build_parser().parse_args(["oracle-verify", "--max-order", "1000"])
+    assert args.max_order == 1000
+    for value in ("1001", "4096", "ten"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-verify", "--max-order", value])
+        assert exc.value.code == 2
+        assert "argument --max-order" in capsys.readouterr().err
 
 
 def test_missing_file(run, capsys):

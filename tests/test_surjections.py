@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -145,10 +146,53 @@ def test_beyond_cap_uses_sequence_verdict():
     assert check_square(fg(0, (2, 1024)), fg(0, (4,)), fg(0, (4,)), fg(0, (2,))).ok
 
 
-def test_positive_rank_uses_sequence_verdict():
+def test_positive_rank_gets_the_torsion_verdict():
     # rank-lifted twin of the torsion counterexample; the sequence
-    # conditions cannot see it and the refinement is torsion-only
-    assert check_square(fg(1, (2, 8)), fg(1, (4,)), fg(1, (4,)), fg(1, (2,))).ok
+    # conditions cannot see it, but with equal ranks stages 2-3 run on
+    # the torsion parts and find what they find there
+    v = check_square(fg(1, (2, 8)), fg(1, (4,)), fg(1, (4,)), fg(1, (2,)))
+    assert v == check_square(fg(0, (2, 8)), fg(0, (4,)), fg(0, (4,)), fg(0, (2,)))
+    assert not v.ok and v.kind == NO_PAIR and v.prime == 2 and v.index == 2
+
+
+def _torsion_quadruples():
+    """Every quadruple of p-groups, p = 2 up to order 16, p = 3 up to order 9."""
+    for p, most in ((2, 16), (3, 9)):
+        yield from product(abelian_p_groups(p, most), repeat=4)
+
+
+def test_equal_rank_lift_gets_the_torsion_verdict():
+    # a common free summand passes through every quotient, so lifting a
+    # torsion quadruple by Z or Z^2 changes no verdict
+    checked = 0
+    for quad in _torsion_quadruples():
+        twin = check_square(*quad)
+        for r in (1, 2):
+            lift = tuple(FgAbGroup(r, g.factors) for g in quad)
+            assert check_square(*lift) == twin, (quad, r)
+        checked += 1
+    assert checked == 12**4 + 4**4
+
+
+def test_witness_search_sees_torsion_modules_only(monkeypatch):
+    calls = []
+
+    def recording(n0, n1, n2, n12, p):
+        calls.append((n0, n1, n2, n12))
+        return _witness_search(n0, n1, n2, n12, p)
+
+    monkeypatch.setattr(surjections, "_witness_search", recording)
+    check_square.cache_clear()
+    lifted = 0
+    for quad in _torsion_quadruples():
+        for r in (0, 1):
+            before = len(calls)
+            check_square(*(FgAbGroup(r, g.factors) for g in quad))
+            if r and len(calls) > before:
+                lifted += 1
+    check_square.cache_clear()
+    assert calls and all(m.rank == 0 for quad in calls for m in quad)
+    assert lifted
 
 
 @settings(max_examples=80, deadline=None)
@@ -194,6 +238,56 @@ def test_single_element_check_leaves_the_square_cache_alone():
     check_square.cache_clear()
     assert not check_m1(fg(0, (2, 2)), TRIVIAL).ok
     assert check_square.cache_info().hits + check_square.cache_info().misses == 0
+
+
+def _reference_square_failure_dvr(n0, n1, n2, n12):
+    """square_failure_dvr as it was with an L2b test past the loop, kept
+    as the oracle for its removal, verbatim but for the module prefixes."""
+    top = _nmax(n0, n1, n2, n12)
+    # an edge's first bad drop lies within its own horizon: past it the
+    # drop is the constant rank drop
+    d0, d1, d2, d12 = (d_seq(m, top) for m in (n0, n1, n2, n12))
+    for hi, lo in ((d0, d1), (d0, d2), (d1, d12), (d2, d12)):
+        i = surjections._drop_failure(hi, lo)
+        if i is not None:
+            return surjections.SquareVerdict(False, M1_LOCAL, None, i)
+    acc = 0
+    for n in range(1, top + 1):
+        acc += d0[n - 1] - d1[n - 1] - d2[n - 1] + d12[n - 1]
+        if acc < 0:
+            return surjections.SquareVerdict(False, L2A, None, n)
+        if d1[n - 1] != d2[n - 1] and acc != 0:
+            return surjections.SquareVerdict(False, L2B, None, n)
+    # past ``top`` every d_n equals the rank, so L(n) moves linearly
+    slope = n0.rank - n1.rank - n2.rank + n12.rank
+    if slope < 0:
+        return surjections.SquareVerdict(False, L2A, None, top + 1)
+    if n1.rank != n2.rank and (slope != 0 or acc != 0):
+        return surjections.SquareVerdict(False, L2B, None, top + 1)
+    return surjections._OK
+
+
+def test_square_failure_matches_the_reference():
+    # every quadruple of a 12-module grid (ranks 0-2, at most one
+    # exponent up to 3), and every quadruple of cyclic-kernel edges of a
+    # 30-module grid (up to two exponents): those pass the edge tests and
+    # reach the partial sums and the slope
+    small = [DMod(r, exps) for r in range(3) for exps in ((), (1,), (2,), (3,))]
+    for quad in product(small, repeat=4):
+        assert square_failure_dvr(*quad) == _reference_square_failure_dvr(*quad), quad
+    mods = [DMod(r, exps) for r in range(3) for k in range(3)
+            for exps in combinations_with_replacement(range(3, 0, -1), k)]
+    assert len(mods) == 30
+    onto = {m: [d for d in mods if m1_failure_dvr(m, d).ok] for m in mods}
+    kinds = Counter()
+    for n0 in mods:
+        for n1, n2 in product(onto[n0], repeat=2):
+            for n12 in onto[n1]:
+                if n12 in onto[n2]:
+                    v = square_failure_dvr(n0, n1, n2, n12)
+                    assert v == _reference_square_failure_dvr(n0, n1, n2, n12)
+                    kinds[v.kind] += 1
+    assert sum(kinds.values()) == 4236 and kinds[L2B] and kinds[L2A]
 
 
 # The drop-sequence helpers as they were before _runs read the two modules

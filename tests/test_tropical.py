@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -23,6 +24,7 @@ from modmatroid.tropical import (
     HeightFunction,
     TropicalVerdict,
     TropicalViolation,
+    _fmt,
     dressian_check,
     flag_pluecker_scan,
     heights,
@@ -54,6 +56,13 @@ def test_heights_horizon_validation():
     m = _loc(GCD_LINE, 2)
     with pytest.raises(ValueError, match="horizon must be at least 1"):
         heights(m, 0)
+
+
+def test_minus_infinity_is_not_inf():
+    m = _loc(GCD_LINE, 2)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        heights(m, -math.inf)
+    assert (_fmt(INF), _fmt(-math.inf), _fmt(3)) == ("INF", "-inf", "3")
 
 
 def test_three_term_ok_on_verified_table():
