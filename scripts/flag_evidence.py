@@ -30,7 +30,10 @@ def parse_horizons(text: str):
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        out.append(INF if chunk.upper() == "INF" else int(chunk))
+        n = INF if chunk.upper() == "INF" else int(chunk)
+        if n < 1:
+            raise argparse.ArgumentTypeError("horizon must be at least 1 or INF")
+        out.append(n)
     return out
 
 
@@ -42,7 +45,6 @@ def main() -> int:
     ap.add_argument("--horizons", type=parse_horizons, default="1,2,3,INF")
     ap.add_argument("--log", default=None, metavar="FILE", help="write every relation line")
     args = ap.parse_args()
-    horizons = args.horizons if isinstance(args.horizons, list) else parse_horizons(args.horizons)
 
     rng = random.Random(args.seed)
     relations = 0
@@ -63,7 +65,7 @@ def main() -> int:
             m = from_realization(r)
             for p in matroid_support_primes(m):
                 loc = localize_matroid(m, p)
-                for n in horizons:
+                for n in args.horizons:
                     verdict = flag_pluecker_scan(heights(loc, n), logged)
                     for v in verdict.violations:
                         violations.append((r, p, n, v))

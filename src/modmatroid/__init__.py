@@ -43,7 +43,6 @@ from .oracle import pushout_oracle, quotient_by_element, surjection_oracle
 from .qam import QamData, check_axioms, to_qam
 from .tropical import (
     HeightFunction,
-    TropicalVerdict,
     dressian_check,
     flag_pluecker_scan,
     heights,

@@ -51,6 +51,7 @@ from .surjections import check_m1, check_square
 from .tropical import (
     dressian_check,
     flag_pluecker_scan,
+    format_height,
     heights,
     single_exchange_check,
     valuated_matroid_check,
@@ -156,9 +157,7 @@ def _print_tropical(verdict, limit: int = 20) -> int:
         print("OK")
         return 0
     for v in verdict.violations[:limit]:
-        terms = ", ".join(
-            "INF" if t == INF else str(t) for t in v.terms
-        )
+        terms = ", ".join(map(format_height, v.terms))
         print(f"violation {v.relation}: terms [{terms}], unique minimum {v.argmin}")
     more = len(verdict.violations) - limit
     if more > 0:
@@ -206,11 +205,10 @@ def main(argv=None) -> int:
         if cmd == "check":
             m = _load_matroid(args.input)
             v = is_matroid(m).violation
-            if v is None:
-                print("OK")
-                return 0
-            print(("undecided " if v.undecided else "violation ") + v.describe(m.labels))
-            return 4 if v.undecided else 1
+            if v is not None:
+                raise MatroidError(m, v)
+            print("OK")
+            return 0
 
         if cmd == "realize":
             r = parse_realization_document(load_path(args.input))

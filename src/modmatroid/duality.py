@@ -70,8 +70,6 @@ def gale_dual(r: Realization) -> Realization:
     e = len(r.labels)
     stacked = hstack(relations, r.vectors)  # n x (m+e)
     new_relations = transpose(stacked)  # (m+e) x n
-    if not new_relations:
-        new_relations = [[] for _ in range(m_cols + e)]
     eye = identity(m_cols + e)
     new_vectors = [[eye[i][m_cols + j] for j in range(e)] for i in range(m_cols + e)]
     return Realization(r.labels, new_relations, new_vectors)

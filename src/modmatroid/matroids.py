@@ -237,21 +237,36 @@ class Violation(Record):
 
 
 class Verdict(Record):
-    __slots__ = ("ok", "violation")
+    """The report of every table-level check (the axiom, the
+    quasi-arithmetic axioms, the tropical sweeps): its violations in scan
+    order, none when the check holds.  ``is_matroid`` and
+    ``qam.check_axioms`` stop at the first violation, so theirs hold at
+    most one."""
 
-    def __init__(self, ok: bool, violation: Violation | None = None):
-        setfield(self, "ok", ok)
-        setfield(self, "violation", violation)
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple = ()):
+        setfield(self, "violations", violations)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def violation(self):
+        """The first violation, or None."""
+        return self.violations[0] if self.violations else None
 
 
 class MatroidError(ValueError):
     """Raised where a verified table is required but the axiom fails or
-    a square is left undecided."""
+    a square is left undecided.  The message is the line ``check``
+    prints: ``violation <description>`` or ``undecided <description>``."""
 
     def __init__(self, m, violation: Violation):
         self.violation = violation
-        verdict = "undecided" if violation.undecided else "not a matroid"
-        super().__init__(f"{verdict}: {violation.describe(m.labels)}")
+        verdict = "undecided" if violation.undecided else "violation"
+        super().__init__(f"{verdict} {violation.describe(m.labels)}")
 
 
 def from_realization(r: Realization) -> ZMatroid:
@@ -528,8 +543,8 @@ def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
         v = _walk(m.labels, code, memo.groups, lo, lo + (1 << t), bad)
         if v is not None:
             memo.done.difference_update(new)
-            return Verdict(False, v)
-    return Verdict(True)
+            return Verdict((v,))
+    return Verdict()
 
 
 def is_matroid(m: ZMatroid) -> Verdict:

@@ -112,9 +112,6 @@ def pushout_oracle(
 
 def _partitions(k: int) -> Iterator[tuple[int, ...]]:
     """Nonincreasing partitions of k."""
-    if k == 0:
-        yield ()
-        return
     def rec(remaining: int, cap: int):
         if remaining == 0:
             yield ()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .intmat import Record, setfield
-from .matroids import ZMatroid, generic_rank, subset_key, subsets, verify
+from .matroids import Verdict, ZMatroid, generic_rank, subset_key, subsets, verify
 
 
 class QamData(Record):
@@ -49,21 +49,13 @@ class QamViolation(Record):
         setfield(self, "detail", detail)
 
 
-class QamVerdict(Record):
-    __slots__ = ("ok", "violation")
-
-    def __init__(self, ok: bool, violation: QamViolation | None = None):
-        setfield(self, "ok", ok)
-        setfield(self, "violation", violation)
-
-
 def to_qam(m: ZMatroid) -> QamData:
     m = verify(m)
     mult = [g.torsion_order for g in m.entries]
     return QamData(m.labels, tuple(generic_rank(m).values()), tuple(map(mult.__getitem__, m.code)))
 
 
-def check_axioms(q: QamData) -> QamVerdict:
+def check_axioms(q: QamData) -> Verdict:
     """First violation in a deterministic scan, or OK.  Raises ValueError
     unless rk is a matroid rank function, which the A2b lookup needs."""
     e = len(q.labels)
@@ -78,15 +70,15 @@ def check_axioms(q: QamData) -> QamVerdict:
             ab = a | 1 << i
             if rk[ab] == rk[a]:
                 if mu[a] % mu[ab]:
-                    return QamVerdict(False, QamViolation(
+                    return Verdict((QamViolation(
                         "A1",
                         f"A={key(a)} b={q.labels[i]}: {mu[ab]} does not divide {mu[a]}",
-                    ))
+                    ),))
             elif mu[ab] % mu[a]:
-                return QamVerdict(False, QamViolation(
+                return Verdict((QamViolation(
                     "A1",
                     f"A={key(a)} b={q.labels[i]}: {mu[a]} does not divide {mu[ab]}",
-                ))
+                ),))
 
     full = (1 << e) - 1
     for a in subsets(e):
@@ -97,11 +89,11 @@ def check_axioms(q: QamData) -> QamVerdict:
             f, t = d & ~cl, d & cl
             molecule = rk[a | f] == rk[a] + f.bit_count()
             if molecule and mu[a] * mu[a | d] != mu[a | f] * mu[a | t]:
-                return QamVerdict(False, QamViolation(
+                return Verdict((QamViolation(
                     "A2b",
                     f"A={key(a)} B={key(a | d)} F={key(f)} T={key(t)}: "
                     f"{mu[a]}*{mu[a | d]} != {mu[a | f]}*{mu[a | t]}",
-                ))
+                ),))
             if d == rest:
                 break
             d = (d - rest) & rest
@@ -111,12 +103,12 @@ def check_axioms(q: QamData) -> QamVerdict:
         for b in range(a + 1, full + 1):
             if rk[a | b] + rk[a & b] == rk[a] + rk[b]:
                 if (mu[a | b] * mu[a & b]) % (mu[a] * mu[b]):
-                    return QamVerdict(False, QamViolation(
+                    return Verdict((QamViolation(
                         "A2a",
                         f"A={key(a)} B={key(b)}: {mu[a]}*{mu[b]} does not divide "
                         f"{mu[a | b]}*{mu[a & b]}",
-                    ))
-    return QamVerdict(True)
+                    ),))
+    return Verdict()
 
 
 def _require_rank_function(q: QamData, key) -> None:

@@ -184,12 +184,8 @@ def _runs(hi: DMod, lo: DMod, top: int) -> list[tuple[int, int | float]]:
     return runs
 
 
-def _local_cokernel(rows: list[list[int]], ncols: int, p: int) -> DMod:
-    """Quotient of Z^ncols by the span of ``rows``, localized at p."""
-    if not ncols:
-        return DMod(0, ())
-    if not rows:
-        return localize(cokernel([[0] for _ in range(ncols)]), p)
+def _local_cokernel(rows: list[list[int]], p: int) -> DMod:
+    """Quotient of Z^n by the span of ``rows``, each of length n, localized at p."""
     return localize(cokernel(transpose(rows)), p)
 
 
@@ -246,7 +242,7 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
         used.add(idx)
         x[idx] = p ** (s - t)
         t += e - s
-    if _local_cokernel(rel + [x], n, p) != n1:
+    if _local_cokernel(rel + [x], p) != n1:
         raise RuntimeError("canonical element does not give the stated quotient")
 
     # basis of N0/(rel, x): columns of U^-1 with orders from the SNF
@@ -311,8 +307,8 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
                 if key in failed:
                     continue
                 y = list(key)
-                if (_local_cokernel(rel + [y], n, p) == n2
-                        and _local_cokernel(rel + [x, y], n, p) == n12):
+                if (_local_cokernel(rel + [y], p) == n2
+                        and _local_cokernel(rel + [x, y], p) == n12):
                     return True
                 failed.add(key)
     return False

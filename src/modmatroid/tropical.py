@@ -29,7 +29,7 @@ from typing import Callable
 
 from .abgroups import INF, d_leq
 from .intmat import Record, setfield
-from .matroids import DvrMatroid, labels_of, subsets
+from .matroids import DvrMatroid, Verdict, subset_keys, subsets
 
 # largest ground set the exhaustive flag scan accepts
 FLAG_SCAN_MAX_LABELS = 8
@@ -55,14 +55,6 @@ class TropicalViolation(Record):
         setfield(self, "argmin", argmin)
 
 
-class TropicalVerdict(Record):
-    __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple[TropicalViolation, ...] = ()):
-        setfield(self, "ok", ok)
-        setfield(self, "violations", violations)
-
-
 def heights(m: DvrMatroid, n) -> HeightFunction:
     if n < 1:
         raise ValueError("horizon must be at least 1")
@@ -70,16 +62,16 @@ def heights(m: DvrMatroid, n) -> HeightFunction:
     return HeightFunction(m.labels, n, tuple(map(values.__getitem__, m.code)))
 
 
-def _fmt(x) -> str:
+def format_height(x) -> str:
     return "INF" if x == INF else str(x)
 
 
-def three_term_check(h: HeightFunction) -> TropicalVerdict:
+def three_term_check(h: HeightFunction) -> Verdict:
     """Minimum of the three pair sums attained at least twice, for all (A, bcd)."""
     p = h.values
     lab = h.labels
     e = len(lab)
-    bad = []
+    found = []
     for a in subsets(e):
         outside = [i for i in range(e) if not a >> i & 1]
         for b, c, d in combinations(outside, 3):
@@ -87,17 +79,18 @@ def three_term_check(h: HeightFunction) -> TropicalVerdict:
             terms = (p[ab] + p[ac | 1 << d], p[ac] + p[ab | 1 << d], p[ad] + p[ab | 1 << c])
             lo = min(terms)
             if terms.count(lo) < 2:
-                which = terms.index(lo)
-                bad.append(TropicalViolation(
-                    f"three-term A={{{','.join(labels_of(lab, a))}}} "
-                    f"b={lab[b]} c={lab[c]} d={lab[d]}",
-                    terms,
-                    f"term {which + 1} = {_fmt(lo)}",
-                ))
-    return TropicalVerdict(not bad, tuple(bad))
+                found.append((a, b, c, d, terms, lo))
+    if not found:
+        return Verdict()
+    keys = subset_keys(lab)
+    return Verdict(tuple(
+        TropicalViolation(f"three-term A={{{keys[a]}}} b={lab[b]} c={lab[c]} d={lab[d]}", terms,
+                          f"term {terms.index(lo) + 1} = {format_height(lo)}")
+        for a, b, c, d, terms, lo in found
+    ))
 
 
-def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
+def _exchange_check(h: HeightFunction, size: int | None) -> Verdict:
     """Single-element exchanges over pairs |A| <= |B|, one decision per relation.
 
     The instance (A, B, a), for a in A minus B and B minus A non-empty,
@@ -124,7 +117,7 @@ def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
     else:
         walks = [(size - 1, (size + 1,))] if 0 < size < e else []
     if not walks:
-        return TropicalVerdict(True)
+        return Verdict()
     # the bit positions of every subset, and its heights with one bit flipped
     pos = [[i for i in range(e) if m >> i & 1] for m in subsets(e)]
     flip = [[p[m ^ 1 << i] for i in range(e)] for m in subsets(e)]
@@ -152,33 +145,33 @@ def _exchange_check(h: HeightFunction, size: int | None) -> TropicalVerdict:
                     terms = [up[c] + down[c] for c in pos[z & outside]]
                     if terms.count(min(terms)) < 2:  # all-INF terms count in full
                         found.append((x, z, terms))
-
-    def name(m):
-        return "{" + ",".join(labels_of(lab, m)) + "}"
-
+    if not found:
+        return Verdict()
+    keys = subset_keys(lab)
     bad = []
     for x, z, terms in found:
         cs = pos[z & ~x]
         lo = min(terms)
         # the minimum is unique, so every instance names the same pair
         c = cs[terms.index(lo)]
-        argmin = f"({name(x | 1 << c)},{name(z ^ 1 << c)}) = {_fmt(lo)}"
+        argmin = f"({{{keys[x | 1 << c]}}},{{{keys[z ^ 1 << c]}}}) = {format_height(lo)}"
         for j, a in enumerate(cs):
             swapped = terms[j:j + 1] + terms[:j] + terms[j + 1:]
             bad.append((x | 1 << a, z ^ 1 << a, a, swapped, argmin))
     bad.sort()  # (A, B, a) tells instances apart, so terms are never compared
-    return TropicalVerdict(not bad, tuple(
-        TropicalViolation(f"exchange A={name(am)} B={name(bm)} a={lab[a]}", tuple(terms), argmin)
+    return Verdict(tuple(
+        TropicalViolation(f"exchange A={{{keys[am]}}} B={{{keys[bm]}}} a={lab[a]}", tuple(terms),
+                          argmin)
         for am, bm, a, terms, argmin in bad
     ))
 
 
-def single_exchange_check(h: HeightFunction) -> TropicalVerdict:
+def single_exchange_check(h: HeightFunction) -> Verdict:
     """Every exchange of one element between subset pairs, all sizes."""
     return _exchange_check(h, None)
 
 
-def dressian_check(h: HeightFunction, r: int) -> TropicalVerdict:
+def dressian_check(h: HeightFunction, r: int) -> Verdict:
     """Single exchanges restricted to pairs of r-subsets."""
     if not 0 <= r <= len(h.labels):
         raise ValueError(f"r must lie in 0..{len(h.labels)}")
@@ -187,7 +180,7 @@ def dressian_check(h: HeightFunction, r: int) -> TropicalVerdict:
 
 def flag_pluecker_scan(
     h: HeightFunction, sink: Callable[[str], None] | None = None
-) -> TropicalVerdict:
+) -> Verdict:
     """Exhaustive multi-element exchange sweep; evidence, not a theorem.
 
     For each pair A, B with |A| <= |B|, each splitting A = A_f + A_e,
@@ -219,7 +212,7 @@ def flag_pluecker_scan(
             for k in range(1, len(rest) + 1)
         ])
     size = [len(t) - 1 for t in subs]
-    names = [",".join(labels_of(h.labels, m)) for m in subsets(e)]
+    names = subset_keys(h.labels)
     # wide[k]: the masks of at least k elements, in ascending order
     wide = [[m for m in subsets(e) if size[m] >= k] for k in range(e + 1)]
     bad = []
@@ -243,7 +236,7 @@ def flag_pluecker_scan(
                         break
                 else:
                     if sink is not None:
-                        tail = f" MIN {_fmt(lo)} COUNT "
+                        tail = f" MIN {format_height(lo)} COUNT "
                         for ae_size in range(1, size[a_only] + 1):
                             ends = [f"|{names[b_mask ^ be_mask]}|{names[be_mask]}{tail}"
                                     f"{math.comb(swap + 1, ae_size)}"
@@ -266,22 +259,23 @@ def flag_pluecker_scan(
                         lo = min(terms)
                         k = terms.count(lo)  # all-INF terms count in full: vacuous
                         if sink is not None:
+                            # format_height(lo), inlined: this runs once per relation
                             sink(
                                 f"RELATION {names[af_mask]}|{names[ae_mask]}"
                                 f"|{names[bf_mask]}|{names[be_mask]} "
-                                f"MIN {'INF' if lo == INF else lo} COUNT {k}"  # _fmt, inlined
+                                f"MIN {'INF' if lo == INF else lo} COUNT {k}"
                             )
                         if k < 2:
                             bad.append(TropicalViolation(
                                 f"flag A_f={{{names[af_mask]}}} A_e={{{names[ae_mask]}}} "
                                 f"B_f={{{names[bf_mask]}}} B_e={{{names[be_mask]}}}",
                                 tuple(terms),
-                                _fmt(lo),
+                                format_height(lo),
                             ))
-    return TropicalVerdict(not bad, tuple(bad))
+    return Verdict(tuple(bad))
 
 
-def valuated_matroid_check(m: DvrMatroid) -> TropicalVerdict:
+def valuated_matroid_check(m: DvrMatroid) -> Verdict:
     """Dress-Wenzel exchange for v(A) = torsion length on bases.
 
     Bases: subsets of size rank(M(empty)) whose entry is pure torsion.
@@ -295,8 +289,7 @@ def valuated_matroid_check(m: DvrMatroid) -> TropicalVerdict:
     bases = {s for s in subsets(e) if s.bit_count() == r and rank[code[s]] == 0}
     length = [g.length for g in m.entries]
     v = {s: length[code[s]] for s in bases}
-    lab = m.labels
-    bad = []
+    found = []
     ordered = sorted(bases)
     pos = {s: [i for i in range(e) if s >> i & 1] for s in ordered}
     for a_mask in ordered:
@@ -313,10 +306,12 @@ def valuated_matroid_check(m: DvrMatroid) -> TropicalVerdict:
                     if na in bases and nb in bases and v[a_mask] + v[b_mask] >= v[na] + v[nb]:
                         break
                 else:
-                    bad.append(TropicalViolation(
-                        f"valuated A={{{','.join(labels_of(lab, a_mask))}}} "
-                        f"B={{{','.join(labels_of(lab, b_mask))}}} a={lab[i]}",
-                        (v[a_mask], v[b_mask]),
-                        "no admissible exchange",
-                    ))
-    return TropicalVerdict(not bad, tuple(bad))
+                    found.append((a_mask, b_mask, i))
+    if not found:
+        return Verdict()
+    lab, keys = m.labels, subset_keys(m.labels)
+    return Verdict(tuple(
+        TropicalViolation(f"valuated A={{{keys[a]}}} B={{{keys[b]}}} a={lab[i]}", (v[a], v[b]),
+                          "no admissible exchange")
+        for a, b, i in found
+    ))

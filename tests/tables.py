@@ -4,7 +4,8 @@ multiplicative), generic loops and coloops (deletion-contraction), the
 dual of a localized table (localization commutes with duality) and the
 residue corank functions (they are matroid rank functions and dualize
 classically).  Lookups by label and the matrix identities that the
-tests state about the Smith normal form live here too."""
+tests state about the Smith normal form live here too, and the check
+that printed subset names are document keys."""
 
 from modmatroid.abgroups import TRIVIAL, DMod, FgAbGroup, canonicalize, localize
 from modmatroid.intmat import Mat, SnfResult, det, shape, transpose
@@ -28,6 +29,14 @@ def entry(m: ZMatroid, subset) -> FgAbGroup:
 
 def height(h: HeightFunction, subset) -> object:
     return h.values[mask_of(h.labels, subset)]
+
+
+def assert_document_keys(named: list[list[str]], labels: tuple[str, ...]) -> None:
+    """Every subset in ``named`` (a list of labels each) is its document
+    key, and ground-set order would have named some of them otherwise."""
+    position = {a: i for i, a in enumerate(labels)}
+    assert all(s == sorted(s) for s in named), named
+    assert any(s != sorted(s, key=position.__getitem__) for s in named), named
 
 
 def is_trivial(g: FgAbGroup) -> bool:

@@ -14,6 +14,7 @@ from modmatroid import cli, surjections
 from modmatroid.cli import build_parser, main
 from modmatroid.jsonio import dumps, emit_matroid_document
 from modmatroid.matroids import from_realization, random_realization, subset_key, subsets
+from tables import assert_document_keys
 
 GOOD_MATROID = {
     "ground_set": ["1", "2"],
@@ -107,7 +108,7 @@ def test_check_internal_failure_exits_3(run, monkeypatch):
     code, out, _ = run(["check"], json.loads(doc))
     assert code == 4 and out == "undecided A={e} b=f c=i: no-witness-pair p=2 n=7\n"
     code, out, _ = run(["dual"], json.loads(doc))
-    assert code == 4 and out == "undecided: A={e} b=f c=i: no-witness-pair p=2 n=7\n"
+    assert code == 4 and out == "undecided A={e} b=f c=i: no-witness-pair p=2 n=7\n"
     # with no search budget the same decision raises instead
     monkeypatch.setattr(surjections, "_SEARCH_GUARD", 0)
     surjections.check_square.cache_clear()
@@ -120,6 +121,15 @@ def test_check_internal_failure_exits_3(run, monkeypatch):
 def test_check_equal_rank_lift_is_undecided(run):
     code, out, _ = run(["check"], LIFT_MATROID)
     assert code == 4 and out == "undecided A={} b=a c=b: no-witness-pair p=2 n=2\n"
+
+
+@pytest.mark.parametrize("doc, code", [(BAD_MATROID, 1), (LIFT_MATROID, 4)],
+                         ids=["non-matroid", "lift"])
+def test_verifying_commands_print_the_check_line(run, doc, code):
+    checked = run(["check"], doc)
+    assert checked[0] == code and checked[1].startswith(("violation A=", "undecided A="))
+    assert checked[1].count("\n") == 1 and checked[2] == ""
+    assert run(["dual"], doc) == checked
 
 
 def test_check_reads_stdin(monkeypatch, capsys):
@@ -159,7 +169,7 @@ def test_dual(run):
 def test_dual_rejects_non_matroid(run):
     code, out, err = run(["dual"], BAD_MATROID)
     assert code == 1
-    assert out.strip() == "not a matroid: A={} b=1 c=2: L2a p=2 n=1"
+    assert out.strip() == "violation A={} b=1 c=2: L2a p=2 n=1"
 
 
 def test_galedual(run):
@@ -308,7 +318,7 @@ def test_dressian_rank_out_of_range(run, r):
 
 def test_dressian_verifies_before_rank_check(run):
     code, out, err = run(["dressian", "--p", "2", "--n", "2", "--r", "99"], BAD_MATROID)
-    assert code == 1 and out == "not a matroid: A={} b=1 c=2: L2a p=2 n=1\n"
+    assert code == 1 and out == "violation A={} b=1 c=2: L2a p=2 n=1\n"
 
 
 def test_flagscan_rejects_more_than_eight_labels(run):
@@ -318,6 +328,32 @@ def test_flagscan_rejects_more_than_eight_labels(run):
     code, out, err = run(["flagscan", "--p", "2", "--n", "2"], doc)
     assert code == 2 and out == ""
     assert err == "error: flag scan is capped at 8 labels\n"
+
+
+def _unsorted_documents():
+    """The realized 4-label table of random_realization(Random(3), max_dim=2,
+    n_labels=4) with its ground set reversed, and the same table with the
+    labels a, b, c, d renamed 9, 10, 11, 12, which sort as 10, 11, 12, 9."""
+    doc = emit_matroid_document(from_realization(
+        random_realization(random.Random(3), max_dim=2, n_labels=4)))
+    names = dict(zip("abcd", ("9", "10", "11", "12")))
+    numeric = {"ground_set": [names[a] for a in doc["ground_set"]],
+               "modules": {",".join(sorted(names[a] for a in key.split(",") if a)): entry
+                           for key, entry in doc["modules"].items()}}
+    return dict(doc, ground_set=doc["ground_set"][::-1]), numeric
+
+
+def test_flagscan_log_names_subsets_by_document_keys(run, tmp_path):
+    log = tmp_path / "scan.log"
+    logs = []
+    for doc in _unsorted_documents():
+        code, out, _ = run(["flagscan", "--p", "2", "--n", "2", "--log", str(log)], doc)
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert code == 0 and out == f"relations={len(lines)} violations=0\n"
+        assert_document_keys([f.split(",") for line in lines for f in re.fullmatch(
+            r"RELATION (.*) MIN \S+ COUNT \d+", line)[1].split("|") if f], doc["ground_set"])
+        logs.append(lines)
+    assert "RELATION |c,d|a|b MIN 0 COUNT 2" in logs[0]
 
 
 def test_flagscan_with_log(run, tmp_path):

@@ -366,9 +366,9 @@ def naive_scan(labels, table, m1_check, square_check) -> Verdict:
                     v = square_check(table[mask], table[mask | 1 << b],
                                      table[mask | 1 << c], table[mask | 1 << b | 1 << c])
                 if not v.ok:
-                    return Verdict(False, Violation(mask, labels[b], labels[c], v.kind,
-                                                    v.prime, v.index))
-    return Verdict(True)
+                    return Verdict((Violation(mask, labels[b], labels[c], v.kind,
+                                              v.prime, v.index),))
+    return Verdict()
 
 
 def changed(g, kind: str, q: int):

@@ -11,6 +11,7 @@ from modmatroid.duality import dual
 from modmatroid.matroids import (
     MatroidError,
     Realization,
+    Verdict,
     ZMatroid,
     from_realization,
     random_realization,
@@ -18,7 +19,7 @@ from modmatroid.matroids import (
     subsets,
 )
 from modmatroid.abgroups import FgAbGroup, TRIVIAL
-from modmatroid.qam import QamData, QamVerdict, QamViolation, check_axioms, to_qam
+from modmatroid.qam import QamData, QamViolation, check_axioms, to_qam
 from tables import direct_sum, relabel
 from test_matroids import is_rank_function
 
@@ -127,13 +128,13 @@ def test_precondition_is_the_rank_function_test_on_three_labels():
     for rk in itertools.product(range(3), repeat=8):
         q = QamData(("1", "2", "3"), rk, (1,) * 8)
         if rk[0] == 0 and is_rank_function(list(rk), 3):
-            assert check_axioms(q) == QamVerdict(True)
+            assert check_axioms(q) == Verdict()
         else:
             with pytest.raises(ValueError):
                 check_axioms(q)
 
 
-def _reference_check_axioms(q: QamData) -> QamVerdict:
+def _reference_check_axioms(q: QamData) -> Verdict:
     """The scan before the molecule lookup: every (A, D, F), each molecule
     tested over all 2^|D| intermediate sets, A2a over every ordered pair."""
     e = len(q.labels)
@@ -147,15 +148,15 @@ def _reference_check_axioms(q: QamData) -> QamVerdict:
             ab = a | 1 << i
             if rk[ab] == rk[a]:
                 if mu[a] % mu[ab]:
-                    return QamVerdict(False, QamViolation(
+                    return Verdict((QamViolation(
                         "A1",
                         f"A={key(a)} b={q.labels[i]}: {mu[ab]} does not divide {mu[a]}",
-                    ))
+                    ),))
             elif mu[ab] % mu[a]:
-                return QamVerdict(False, QamViolation(
+                return Verdict((QamViolation(
                     "A1",
                     f"A={key(a)} b={q.labels[i]}: {mu[a]} does not divide {mu[ab]}",
-                ))
+                ),))
 
     for a in subsets(e):
         rest = [i for i in range(e) if not a >> i & 1]
@@ -171,11 +172,11 @@ def _reference_check_axioms(q: QamData) -> QamVerdict:
                 t = d & ~f
                 if _is_molecule(rk, a, d, f):
                     if mu[a] * mu[b] != mu[a | f] * mu[a | t]:
-                        return QamVerdict(False, QamViolation(
+                        return Verdict((QamViolation(
                             "A2b",
                             f"A={key(a)} B={key(b)} F={key(f)} T={key(t)}: "
                             f"{mu[a]}*{mu[b]} != {mu[a | f]}*{mu[a | t]}",
-                        ))
+                        ),))
                 if f == 0:
                     break
                 f = (f - 1) & d
@@ -184,12 +185,12 @@ def _reference_check_axioms(q: QamData) -> QamVerdict:
         for b in subsets(e):
             if rk[a | b] + rk[a & b] == rk[a] + rk[b]:
                 if (mu[a | b] * mu[a & b]) % (mu[a] * mu[b]):
-                    return QamVerdict(False, QamViolation(
+                    return Verdict((QamViolation(
                         "A2a",
                         f"A={key(a)} B={key(b)}: {mu[a]}*{mu[b]} does not divide "
                         f"{mu[a | b]}*{mu[a & b]}",
-                    ))
-    return QamVerdict(True)
+                    ),))
+    return Verdict()
 
 
 def _is_molecule(rk, a: int, d: int, f: int) -> bool:

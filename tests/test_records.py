@@ -14,9 +14,9 @@ import modmatroid
 from modmatroid.abgroups import DMod, FgAbGroup
 from modmatroid.intmat import SnfResult
 from modmatroid.matroids import DvrMatroid, Realization, Verdict, Violation, ZMatroid
-from modmatroid.qam import QamData, QamVerdict, QamViolation
+from modmatroid.qam import QamData, QamViolation
 from modmatroid.surjections import SquareVerdict
-from modmatroid.tropical import INF, HeightFunction, TropicalVerdict, TropicalViolation
+from modmatroid.tropical import INF, HeightFunction, TropicalViolation
 from modmatroid.tutte import TutteClass
 
 G = FgAbGroup(1, (2, 4))
@@ -24,7 +24,8 @@ TV = TropicalViolation("three-term", (1, 2, INF), "b")
 
 # (class, positional arguments, the same by keyword, repr); the reprs are
 # those the dataclass versions printed, but for the two tables, which
-# print their stored fields: the distinct entries and a code per subset
+# print their stored fields (the distinct entries and a code per subset),
+# and for Verdict, the one report of every table-level check
 RECORDS = [
     (SnfResult, ((1, 2), [[1, 0], [0, 1]], None, None),
      dict(d=(1, 2), u=[[1, 0], [0, 1]], v=None, uinv=None),
@@ -43,17 +44,14 @@ RECORDS = [
     (Violation, (1, "b", "c", "L2a", 2, 1),
      dict(mask=1, b="b", c="c", kind="L2a", prime=2, index=1),
      "Violation(mask=1, b='b', c='c', kind='L2a', prime=2, index=1)"),
-    (Verdict, (False, Violation(0, "a", "b", "rank-drop")),
-     dict(ok=False, violation=Violation(0, "a", "b", "rank-drop")),
-     "Verdict(ok=False, violation=Violation(mask=0, b='a', c='b', kind='rank-drop',"
-     " prime=None, index=None))"),
+    (Verdict, ((Violation(0, "a", "b", "rank-drop"),),),
+     dict(violations=(Violation(0, "a", "b", "rank-drop"),)),
+     "Verdict(violations=(Violation(mask=0, b='a', c='b', kind='rank-drop',"
+     " prime=None, index=None),))"),
     (QamData, (("a",), (0, 1), (2, 1)), dict(labels=("a",), rk=(0, 1), mult=(2, 1)),
      "QamData(labels=('a',), rk=(0, 1), mult=(2, 1))"),
     (QamViolation, ("A1", "{a}"), dict(axiom="A1", detail="{a}"),
      "QamViolation(axiom='A1', detail='{a}')"),
-    (QamVerdict, (False, QamViolation("A1", "{a}")),
-     dict(ok=False, violation=QamViolation("A1", "{a}")),
-     "QamVerdict(ok=False, violation=QamViolation(axiom='A1', detail='{a}'))"),
     (SquareVerdict, (False, "L2a", 2, 1), dict(ok=False, kind="L2a", prime=2, index=1),
      "SquareVerdict(ok=False, kind='L2a', prime=2, index=1)"),
     (HeightFunction, (("a",), INF, (3, INF)), dict(labels=("a",), n=INF, values=(3, INF)),
@@ -61,9 +59,6 @@ RECORDS = [
     (TropicalViolation, ("three-term", (1, 2, INF), "b"),
      dict(relation="three-term", terms=(1, 2, INF), argmin="b"),
      "TropicalViolation(relation='three-term', terms=(1, 2, inf), argmin='b')"),
-    (TropicalVerdict, (False, (TV,)), dict(ok=False, violations=(TV,)),
-     "TropicalVerdict(ok=False, violations=(TropicalViolation(relation='three-term',"
-     " terms=(1, 2, inf), argmin='b'),))"),
     (TutteClass, ({(1, 0, (2,)): 3, (0, 1, ()): 0},), dict(terms={(1, 0, (2,)): 3}),
      "TutteClass(terms={(1, 0, (2,)): 3})"),
 ]
@@ -98,8 +93,7 @@ def test_defaults():
     assert Violation(1, "b", "c", "L2a") == Violation(1, "b", "c", "L2a", None, None)
     assert SquareVerdict(False, kind="L2a", prime=2, index=1) == SquareVerdict(False, "L2a", 2, 1)
     assert SquareVerdict(True) == SquareVerdict(True, None, None, None)
-    assert Verdict(True).violation is None and QamVerdict(True).violation is None
-    assert TropicalVerdict(True).violations == ()
+    assert Verdict() == Verdict(()) == Verdict(violations=())
     assert TutteClass().terms == {}
 
 
@@ -115,8 +109,8 @@ def test_construction_checks_survive():
 
 def test_equality_and_hash_are_by_fields_and_type():
     assert FgAbGroup(0, (2,)) != DMod(0, (2,))
-    assert Verdict(True) != QamVerdict(True)
-    assert Verdict(True) != TropicalVerdict(True)
+    assert Verdict() != SquareVerdict(True)
+    assert Verdict((TV,)) != Verdict((TV, TV)) and hash(Verdict((TV,))) == hash(Verdict((TV,)))
     assert FgAbGroup(1, (2, 4)) != FgAbGroup(1, (4,))
     assert hash(FgAbGroup(1, (2, 4))) == hash(G)
     assert len({DMod(1, (2,)), DMod(1, (2,)), DMod(1, (1,))}) == 2
@@ -166,3 +160,18 @@ def test_cli_import_loads_no_dataclass_machinery():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out == "[]\n"
+
+
+def test_verdict_reads_ok_and_first_violation_from_its_violations():
+    qv = QamViolation("A1", "{a}")
+    assert Verdict().ok and Verdict().violation is None and Verdict().violations == ()
+    for first, rest in ((qv,), ()), ((TV,), (TV,)), ((Violation(1, "b", "c", "L2a"),), ()):
+        v = Verdict(first + rest)
+        assert not v.ok and v.violation is first[0] and v.violations == first + rest
+        assert pickle.loads(pickle.dumps(v)) == v
+        assert repr(v) == f"Verdict(violations={v.violations!r})"
+    # the two readings are derived, not fields: neither can be set
+    for name in ("ok", "violation"):
+        with pytest.raises(AttributeError):
+            setattr(Verdict(), name, None)
+    assert Verdict._fields == ("violations",)

@@ -375,7 +375,7 @@ def _reference_witness_search(n0, n1, n2, n12, p):
         used.add(idx)
         x[idx] = p ** (s - t)
         t += 0 if e is INF else int(e) - s
-    if _local_cokernel(rel + [x], n, p) != n1:
+    if _local_cokernel(rel + [x], p) != n1:
         raise RuntimeError("canonical element does not give the stated quotient")
 
     # basis of N0/(rel, x): columns of U^-1 with orders from the SNF
@@ -449,9 +449,9 @@ def _reference_witness_search(n0, n1, n2, n12, p):
                         " for the exact square decision"
                     )
                 y = [a * xi - wi for xi, wi in zip(x, w)]
-                if _local_cokernel(rel + [y], n, p) != n2:
+                if _local_cokernel(rel + [y], p) != n2:
                     continue
-                if _local_cokernel(rel + [x, y], n, p) == n12:
+                if _local_cokernel(rel + [x, y], p) == n12:
                     return True
     return False
 
@@ -539,11 +539,11 @@ def test_witness_search_decides_each_class_once(stage3_squares, monkeypatch):
         seen = set()
         mods = [p**e for e in quad[0].exps]
 
-        def recording(rows, ncols, prime):
+        def recording(rows, prime):
             key = tuple(tuple(v % m for v, m in zip(row, mods)) for row in rows)
             assert key not in seen, (quad, p, rows)
             seen.add(key)
-            return _local_cokernel(rows, ncols, prime)
+            return _local_cokernel(rows, prime)
 
         monkeypatch.setattr(surjections, "_local_cokernel", recording)
         _witness_search(*quad, p)

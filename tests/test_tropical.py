@@ -12,27 +12,27 @@ from modmatroid.abgroups import DMod, INF
 from modmatroid.matroids import (
     DvrMatroid,
     Realization,
+    Verdict,
     essentialize,
     from_realization,
-    labels_of,
     localize_matroid,
     matroid_support_primes,
     random_realization,
+    subset_key,
     subsets,
 )
 from modmatroid.tropical import (
     HeightFunction,
-    TropicalVerdict,
     TropicalViolation,
-    _fmt,
     dressian_check,
     flag_pluecker_scan,
+    format_height,
     heights,
     single_exchange_check,
     three_term_check,
     valuated_matroid_check,
 )
-from tables import height
+from tables import assert_document_keys, height
 
 GCD_LINE = Realization(("1", "2", "3"), [[]], [[1, 2, 4]])
 
@@ -62,7 +62,7 @@ def test_minus_infinity_is_not_inf():
     m = _loc(GCD_LINE, 2)
     with pytest.raises(ValueError, match="horizon must be at least 1"):
         heights(m, -math.inf)
-    assert (_fmt(INF), _fmt(-math.inf), _fmt(3)) == ("INF", "-inf", "3")
+    assert [format_height(x) for x in (INF, -math.inf, 3)] == ["INF", "-inf", "3"]
 
 
 def test_three_term_ok_on_verified_table():
@@ -194,7 +194,7 @@ def test_valuated_violations_across_two_labels():
     ]
 
 
-def _ref_valuated(m: DvrMatroid) -> TropicalVerdict:
+def _ref_valuated(m: DvrMatroid) -> Verdict:
     """The exchange loop over every i, j in range(e), kept as it was written."""
     rank, code = [g.rank for g in m.entries], m.code
     if rank[code[m.full]] != 0:
@@ -223,12 +223,12 @@ def _ref_valuated(m: DvrMatroid) -> TropicalVerdict:
                         break
                 if not ok:
                     bad.append(TropicalViolation(
-                        f"valuated A={{{','.join(labels_of(lab, a_mask))}}} "
-                        f"B={{{','.join(labels_of(lab, b_mask))}}} a={lab[i]}",
+                        f"valuated A={{{subset_key(lab, a_mask)}}} "
+                        f"B={{{subset_key(lab, b_mask)}}} a={lab[i]}",
                         (v[a_mask], v[b_mask]),
                         "no admissible exchange",
                     ))
-    return TropicalVerdict(not bad, tuple(bad))
+    return Verdict(tuple(bad))
 
 
 def _valuated_tables():
@@ -319,10 +319,6 @@ def _ref_min_count(values):
     return lo, sum(1 for v in values if v == lo)
 
 
-def _names(lab, mask):
-    return ",".join(lab[i] for i in range(len(lab)) if mask >> i & 1)
-
-
 def _ref_three_term(h):
     lab, p, e = h.labels, h.values, len(h.labels)
     rels = []
@@ -340,9 +336,9 @@ def _ref_three_term(h):
         lo, k = _ref_min_count(terms)
         if k < 2:
             bad.append(TropicalViolation(
-                f"three-term A={{{_names(lab, a)}}} b={lab[b]} c={lab[c]} d={lab[d]}",
+                f"three-term A={{{subset_key(lab, a)}}} b={lab[b]} c={lab[c]} d={lab[d]}",
                 terms, f"term {terms.index(lo) + 1} = {'INF' if lo == INF else lo}"))
-    return TropicalVerdict(not bad, tuple(bad))
+    return Verdict(tuple(bad))
 
 
 def _ref_exchange(h, size=None):
@@ -368,10 +364,10 @@ def _ref_exchange(h, size=None):
         if k < 2:
             x, y = pairs[terms.index(lo)]
             bad.append(TropicalViolation(
-                f"exchange A={{{_names(lab, a)}}} B={{{_names(lab, b)}}} a={lab[i]}",
-                terms, f"({{{_names(lab, x)}}},{{{_names(lab, y)}}}) = "
+                f"exchange A={{{subset_key(lab, a)}}} B={{{subset_key(lab, b)}}} a={lab[i]}",
+                terms, f"({{{subset_key(lab, x)}}},{{{subset_key(lab, y)}}}) = "
                        f"{'INF' if lo == INF else lo}"))
-    return TropicalVerdict(not bad, tuple(bad))
+    return Verdict(tuple(bad))
 
 
 def _reference_heights():
@@ -443,14 +439,14 @@ def _ref_flag_scan(h, sink=None):
                             terms.append(p[af_mask | na] + p[bf_mask | (ae_mask | be_mask) & ~na])
                         lo, k = _ref_min_count(terms)
                         lo = "INF" if lo == INF else lo
-                        names = [_names(lab, x) for x in (af_mask, ae_mask, bf_mask, be_mask)]
+                        names = [subset_key(lab, x) for x in (af_mask, ae_mask, bf_mask, be_mask)]
                         if sink is not None:
                             sink(f"RELATION {'|'.join(names)} MIN {lo} COUNT {k}")
                         if k < 2:
                             bad.append(TropicalViolation(
                                 "flag A_f={%s} A_e={%s} B_f={%s} B_e={%s}" % tuple(names),
                                 tuple(terms), str(lo)))
-    return TropicalVerdict(not bad, tuple(bad))
+    return Verdict(tuple(bad))
 
 
 def test_flag_scan_matches_reference():
@@ -540,3 +536,36 @@ def test_exchange_classes_match_reference_at_7_labels():
     # more instances (so term order and instance order both show) and INF terms
     assert all(single_exchange_check(h).ok for h in tables[::3])
     assert max(instances) >= 3 and len(instances) > 10 and inf_terms, (instances, inf_terms)
+
+
+# ground sets whose order is not the sorted one: reversed letters, and
+# numeric labels, which sort as 1, 10, 2, ...
+UNSORTED_GROUNDS = [tuple("dcba"), tuple(str(i) for i in range(1, 11))]
+
+
+def _named_subsets(text):
+    """The label lists of the non-empty {..} subsets a string names."""
+    return [g.split(",") for g in re.findall(r"\{([^}]*)\}", text) if g]
+
+
+@pytest.mark.parametrize("labels", UNSORTED_GROUNDS, ids=["reversed", "numeric"])
+def test_violations_name_subsets_by_document_keys(labels):
+    rng = random.Random(5)
+    e = len(labels)
+    r = e // 2
+    values = [2] * (1 << e)
+    # one r-subset lowered: a unique minimum in every relation through it
+    values[rng.choice([s for s in subsets(e) if s.bit_count() == r])] = 0
+    h = HeightFunction(labels, 2, tuple(values))
+    table = []  # bases of size r with random torsion lengths, as in _valuated_tables
+    for s in subsets(e):
+        size = s.bit_count()
+        n = rng.randint(0, 3) if size == r else 0
+        table.append(DMod(r - size) if size < r else DMod(0, (n,) if n else ()))
+    verdicts = [three_term_check(h), single_exchange_check(h), dressian_check(h, r),
+                valuated_matroid_check(DvrMatroid(labels, tuple(table)))]
+    if e <= 8:
+        verdicts.append(flag_pluecker_scan(h))
+    assert not any(v.ok for v in verdicts)
+    assert_document_keys([s for verdict in verdicts for v in verdict.violations
+                          for s in _named_subsets(f"{v.relation} {v.argmin}")], labels)
