@@ -173,23 +173,35 @@ def cokernel(relations: Mat) -> FgAbGroup:
 def subset_cokernels(relations: Mat, columns: list[list[int]]) -> tuple[list, list[int]]:
     """Cokernel of [relations | the chosen columns] for every subset of ``columns``.
 
-    Returns the distinct groups, in the order the walk meets them, and
-    each mask's group number; a mask picks column j when bit j is set.
-    The walk runs over the subset tree in which a mask's parent is the
-    mask minus its highest column.  A node keeps the invariant diagonal
-    d of its cokernel and a row transform U mapping Z^n onto
-    Z^r / diag(d), so a child adding column v needs only the normal
-    form of the r x (<= r+1) matrix [diag(d) | U v].  Rows with d_i = 1
-    are dropped and row i of U is reduced mod d_i where d_i != 0, which
-    bounds entry growth; neither changes the map into the quotient.
+    Returns the distinct groups, numbered in the order the walk meets
+    them, and each mask's group number; a mask picks column j when bit
+    j is set.  The walk runs over the subset tree in which a mask's
+    parent is the mask minus its highest column.  A node keeps the
+    invariant diagonal d of its cokernel and a row transform U mapping
+    Z^n onto Z^r / diag(d), so a child adding column v needs only the
+    normal form of the r x (<= r+1) matrix [diag(d) | U v].  Rows with
+    d_i = 1 are dropped and row i of U is reduced mod d_i where d_i !=
+    0, which bounds entry growth; neither changes the map into the
+    quotient.  Two rules fill most of the table without a normal form:
 
-    A node with one live row calls no normal form: the cokernel of the
-    1 x 2 matrix [d | w] is Z/gcd(d, w), and U carries over as it is.
-    The normal form would differ only by the unit +-1 it may put on U's
-    one row.  No descendant gains a row, so every later step is again a
-    gcd of a diagonal with an entry of that row, and gcd(d, -x) =
-    gcd(d, x): the sign never reaches a diagonal, so neither the groups
-    nor their numbering change.
+    - A node walks its columns from the highest down.  When U v_j is 0
+      modulo d, v_j already lies in the node's lattice, so adding it to
+      the node or to any later subset S changes no lattice:
+      ``table[mask | 1<<j | S] == table[mask | S]``.  The right side is
+      the subtree of columns above j, already walked, and one strided
+      slice copies it.
+    - A node with one live row (diagonal g, row u) is cyclic, and so is
+      every quotient below it: each group there is Z/gcd(g, u v_a : a
+      chosen).  The images u v_j of the remaining columns are taken
+      once, and the subtree's diagonals are built column by column, the
+      list doubling with the gcd of each diagonal and the column's
+      image; an image that g divides leaves every diagonal as it is,
+      and the list doubles by a copy.  No U, dot product or normal form
+      is needed below the node.
+
+    Both give the group the normal form would give: the first copies a
+    group of the same lattice, and in the second the cokernel of
+    [g | x] is Z/gcd(g, x), whatever the sign of x.
     """
     n, _ = shape(relations)
     e = len(columns)
@@ -207,34 +219,43 @@ def subset_cokernels(relations: Mat, columns: list[list[int]]) -> tuple[list, li
         ul = [[x % d[i] for x in u[i]] if d[i] else u[i] for i in live]
         return k, dl, ul
 
+    def descend(mask: int, first: int, d: tuple[int, ...], u: Mat):
+        if len(d) != 1:
+            walk(mask, first, d, u)
+            return
+        diagonals = [d[0]]
+        for v in columns[first:]:
+            x = sum(map(mul, u[0], v))
+            if math.gcd(diagonals[0], x) == diagonals[0]:
+                diagonals += diagonals
+            else:
+                diagonals += [math.gcd(g, x) for g in diagonals]
+        number = {g: numbers.setdefault((g,) if g != 1 else (), len(numbers))
+                  for g in dict.fromkeys(diagonals)}
+        table[mask::1 << first] = map(number.__getitem__, diagonals)
+
     def walk(mask: int, first: int, d: tuple[int, ...], u: Mat):
         t = len(d) - d.count(0)  # torsion rows come first in d
-        for j in range(first, e):
+        for j in range(e - 1, first - 1, -1):
             child = mask | 1 << j
-            v = columns[j]
-            w = [sum(map(mul, row, v)) for row in u]
+            w = [sum(map(mul, row, columns[j])) for row in u]
             w = [x % di if di else x for x, di in zip(w, d)]
             if not any(w):
-                table[child] = table[mask]
-                if j + 1 < e:
-                    walk(child, j + 1, d, u)
+                table[child::2 << j] = table[mask::2 << j]
                 continue
             leaf = j + 1 == e
-            if len(d) == 1:
-                table[child], d2, u2 = node((math.gcd(d[0], w[0]),), None if leaf else u, 1)
-            else:
-                mat = [[d[i] if i == k else 0 for k in range(t)] + [w[i]] for i in range(len(d))]
-                s = smith_normal_form(mat, () if leaf else ("u",))
-                moved = None if leaf else [
-                    [sum(map(mul, srow, ucol)) for ucol in zip(*u)] for srow in s.u
-                ]
-                table[child], d2, u2 = node(s.d, moved, len(d))
+            mat = [[d[i] if i == k else 0 for k in range(t)] + [w[i]] for i in range(len(d))]
+            s = smith_normal_form(mat, () if leaf else ("u",))
+            moved = None if leaf else [
+                [sum(map(mul, srow, ucol)) for ucol in zip(*u)] for srow in s.u
+            ]
+            table[child], d2, u2 = node(s.d, moved, len(d))
             if not leaf:
-                walk(child, j + 1, d2, u2)
+                descend(child, j + 1, d2, u2)
 
     root = smith_normal_form(relations, ("u",))
     table[0], d0, u0 = node(root.d, root.u, n)
-    walk(0, 0, d0, u0)
+    descend(0, 0, d0, u0)
     return [FgAbGroup(dl.count(0), tuple(x for x in dl if x)) for dl in numbers], table
 
 

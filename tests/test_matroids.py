@@ -271,9 +271,24 @@ def per_subset_cokernels(r: Realization) -> tuple:
     )
 
 
+def unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A random n x n integer matrix of determinant +-1."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, k = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == k:
+            m[i] = [-x for x in m[i]]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            m[k] = [x + c * y for x, y in zip(m[k], m[i])]
+    return m
+
+
 def kernel_case(rng: random.Random, kind: str) -> Realization:
     if kind == "twelve-labels":
         return random_realization(rng, max_dim=4, n_labels=12)
+    if kind in ("in-span", "early-trivial"):
+        return span_case(rng, kind)
     real = random_realization(rng, max_dim=1 if kind == "dim-1" else 5)
     n = len(real.relations)
     e = len(real.labels)
@@ -291,9 +306,42 @@ def kernel_case(rng: random.Random, kind: str) -> Realization:
     return Realization(real.labels, relations, vectors)
 
 
+def span_case(rng: random.Random, kind: str) -> Realization:
+    """Up to 12 labels whose walk meets columns that map to zero.
+
+    "in-span": some columns equal a relation column, or a signed sum of
+    earlier columns, so they lie in the lattice of the root or of every
+    node that holds those columns.  "early-trivial": the first column
+    makes the quotient trivial, or, over two or more live rows, the
+    first few columns do; they are columns of a unimodular matrix whose
+    other columns are relations."""
+    real = random_realization(rng, max_dim=5, n_labels=rng.randint(2, 12))
+    n, e = len(real.relations), len(real.labels)
+    relations = [row[:] for row in real.relations]
+    columns = [[row[j] for row in real.vectors] for j in range(e)]
+    if kind == "in-span":
+        for j in rng.sample(range(1, e), rng.randint(1, max(1, e // 3))):
+            if relations[0] and rng.random() < 0.4:
+                k = rng.randrange(len(relations[0]))
+                columns[j] = [rng.choice((-1, 1)) * row[k] for row in relations]
+            else:
+                picked = rng.sample(range(j), rng.randint(1, min(j, 3)))
+                columns[j] = [sum(rng.choice((-1, 1)) * columns[k][i] for k in picked)
+                              for i in range(n)]
+    else:
+        basis = unimodular(rng, n)
+        first = 1 if rng.random() < 0.5 else rng.randint(1, min(n, e))
+        kept = [[row[k] for k in range(first, n)] for row in basis]
+        relations = [a + b for a, b in zip(kept, relations)]
+        for j in range(first):
+            columns[j] = [row[j] for row in basis]
+    vectors = [[col[i] for col in columns] for i in range(n)]
+    return Realization(real.labels, relations, vectors)
+
+
 @pytest.mark.parametrize("kind,count", [
     ("generic", 60), ("no-relations", 40), ("dim-1", 40), ("prime-power", 40),
-    ("zero-and-repeated", 40), ("twelve-labels", 1),
+    ("zero-and-repeated", 40), ("twelve-labels", 1), ("in-span", 30), ("early-trivial", 30),
 ])
 def test_from_realization_matches_per_subset_cokernels(kind, count):
     rng = random.Random(f"kernel/{kind}")
@@ -350,6 +398,77 @@ def test_one_row_nodes_take_a_gcd(monkeypatch):
         drops += n > 1 and generators[0] > 1 and any(
             generators[mask] == 1 for mask in range(1, 1 << (e - 1)))
     assert drops >= 4
+
+
+def expected_normal_forms(table: tuple) -> tuple[int, int]:
+    """The normal forms the walk takes, and those the shared subtrees
+    save.  The walk takes the root's, and one per node whose parent has
+    two or more live rows and that lies in no shared subtree.  A node is
+    shared when a column on its path from the root maps to zero, that
+    is, leaves the group unchanged (a proper quotient of a finitely
+    generated abelian group is never isomorphic to it)."""
+    generators = [g.rank + len(g.factors) for g in table]
+    shared = [False] * len(table)
+    taken, saved = 1, 0
+    for mask in range(1, len(table)):
+        parent = mask ^ 1 << mask.bit_length() - 1
+        shared[mask] = shared[parent] or table[mask] == table[parent]
+        if generators[parent] > 1:
+            taken += not shared[mask]
+            saved += shared[mask]
+    return taken, saved
+
+
+def test_walk_takes_normal_forms_only_outside_shared_and_one_row_subtrees(monkeypatch):
+    snf = abgroups.smith_normal_form
+    calls = []
+
+    def recording(mat, track=("u", "v")):
+        calls.append(mat)
+        return snf(mat, track)
+
+    rng = random.Random("normal-forms")
+    cases = [(kind, kernel_case(rng, kind))
+             for kind in ("in-span", "early-trivial", "generic", "zero-and-repeated")
+             for _ in range(12)]
+    # Z/4 + Z/6 + Z: c and d lie in the span of a and b, and e in the relations'
+    cases.append(("in-span", Realization(tuple("abcdef"), [[4, 0], [0, 6], [0, 0]],
+                                         [[1, 0, 1, 2, 4, 3], [0, 1, 1, -1, 0, 5],
+                                          [0, 1, 1, -1, 0, 2]])))
+    # Z/2 + Z/6: c and d lie in the relations' span, so every node shares
+    # their subtrees, and a leaves one live row
+    cases.append(("in-span", Realization(tuple("abcde"), [[2, 0], [0, 6]],
+                                         [[0, 1, 2, 0, 1], [1, 3, 6, 12, 5]])))
+    saved = trivial_after_a = 0
+    for kind, real in cases:
+        want = per_subset_cokernels(real)
+        monkeypatch.setattr(abgroups, "smith_normal_form", recording)
+        calls.clear()
+        got = from_realization(real).table
+        monkeypatch.undo()
+        assert got == want, real
+        taken, shared = expected_normal_forms(want)
+        assert len(calls) == taken, real
+        saved += shared
+        if want[1] == TRIVIAL:  # the first label kills a cyclic root
+            assert len(calls) == 1, real
+            trivial_after_a += 1
+    assert saved >= 100 and trivial_after_a >= 4
+
+
+@pytest.mark.parametrize("seed,dim", [(1, 5), (5, 5), (1, 1)])
+def test_sixteen_labels_spot_checked_against_cokernel(seed, dim):
+    # the realizations CI takes through the CLI at the 16-label cap; a
+    # strided slice off by one would show only at some masks
+    real = random_realization(random.Random(seed), max_dim=dim, n_labels=16)
+    table = from_realization(real).table
+    full = (1 << 16) - 1
+    rng = random.Random(f"cap/{seed}/{dim}")
+    masks = [0, full, *(1 << j for j in range(16)), *(rng.randrange(full) for _ in range(256))]
+    for mask in masks:
+        chosen = [rel + [vec[j] for j in range(16) if mask >> j & 1]
+                  for rel, vec in zip(real.relations, real.vectors)]
+        assert table[mask] == cokernel(chosen), mask
 
 
 def naive_scan(labels, table, m1_check, square_check) -> Verdict:
