@@ -26,7 +26,7 @@ from .abgroups import (
 )
 from .intmat import Mat, Record, setfield, shape
 from .surjections import (
-    NO_PAIR,
+    NO_WITNESS,
     check_m1,  # not called here; perfbench/spans.py traces calls through this name
     check_square,
     exact_cap,
@@ -222,9 +222,10 @@ class Violation(Record):
 
     @property
     def undecided(self) -> bool:
-        """A no-witness-pair: the witness search found no pair, which does
-        not prove that none exists, so this is no verified negative."""
-        return self.kind == NO_PAIR
+        """A no-witness-pair: the witness search found no pair, past the
+        order where exhaustive search settles a miss, which does not
+        prove that none exists, so this is no verified negative."""
+        return self.kind == NO_WITNESS
 
     def describe(self, labels: tuple[str, ...]) -> str:
         where = subset_key(labels, self.mask)
@@ -312,21 +313,48 @@ def _walk(labels, code, entries, lo, hi, bad):
     return None
 
 
-def _inside(k: int):
-    """The index tuples of the keys that lie inside one node of 2^k
-    leaves: the squares (L, Lb, Lc, Lbc), b <= c, and the edges (L, Lb),
-    the L avoiding b and c."""
-    bits = [1 << i for i in range(k)]
-    squares = [(L, L | b, L | c, L | b | c) for x, b in enumerate(bits) for c in bits[x:]
-               for L in range(1 << k) if not L & (b | c)]
-    edges = [(L, L | b) for b in bits for L in range(1 << k) if not L & b]
-    return squares, edges
+def _split(cubes: set[tuple], halves) -> set[tuple]:
+    """The cubes one level down that hold the square keys of ``cubes``.
+
+    A cube is a tuple of nodes of one level: (n) stands for the squares
+    inside n, (x, y) for those with b inside x and c the label that
+    takes x to y, (w, x, y, z) for the aligned leaves (w[L], x[L], y[L],
+    z[L]).  ``halves[n]`` is n's pair of halves, without and with the
+    level's top label.  A cube gives the cube of its lower halves and
+    that of its upper ones (b and c below the top label); a 1- or 2-node
+    cube also the cube of all its halves (c the top label for one node,
+    b for two); and a 1-node cube also the degenerate (n0, n1, n1, n1).
+    """
+    out: set[tuple] = set()
+    for cube in cubes:
+        pairs = list(map(halves.__getitem__, cube))
+        out.update(zip(*pairs))
+        if len(cube) < 4:
+            out.add(sum(pairs, ()))
+            if len(cube) == 1:
+                (n0, n1), = pairs
+                out.add((n0, n1, n1, n1))
+    return out
 
 
 # Nodes up to this level are kept as their tuples of leaves and their keys
-# gathered inline; tuples of nodes at this level and above are memoized.
+# gathered by position; cubes at this level and above are memoized.
 _BASE = 3
-_INSIDE = [_inside(k) for k in range(_BASE + 1)]
+
+
+def _picks(k: int, size: int) -> list[tuple]:
+    """The square keys of a cube of ``size`` nodes of level k, as
+    positions in the concatenation of the nodes' leaves: the rule of
+    ``_split`` run down to single leaves, where only the aligned cubes
+    are squares.  Node i of a level halves into nodes 2i and 2i + 1."""
+    cubes = {tuple(range(size))}
+    halves = [(2 * i, 2 * i + 1) for i in range(size << k)]
+    for _ in range(k):
+        cubes = _split(cubes, halves)
+    return sorted(c for c in cubes if len(c) == 4)
+
+
+_PICKS = [{size: _picks(k, size) for size in (1, 2)} for k in range(_BASE + 1)]
 
 
 class _Memo:
@@ -343,11 +371,11 @@ class _Memo:
     tuple of entry numbers, above it by the pair of its halves, and
     ``nodes[k]`` numbers the level's nodes (``kids[k]`` maps numbers
     back).  Square keys (tuples of group numbers, the degenerate
-    (A, Ab, Ab, Ab) among them) are gathered from tuples of nodes
-    (``block_keys``); ``done`` holds the tuples of level 3 and above
-    whose keys are all certified to pass.  Stage 1-2 decisions are kept
-    per (cap, local quadruple); full decisions only in check_square's
-    cache.  Tables that share entries or subcubes (a table and edited
+    (A, Ab, Ab, Ab) among them) are gathered from cubes, tuples of
+    nodes of one level (``block_keys``); ``done[k]`` holds the cubes of
+    level k >= 3 whose keys are all certified to pass.  Stage 1-2
+    decisions are kept per (cap, local quadruple); full decisions only
+    in check_square's cache.  Tables that share entries or subcubes (a table and edited
     copies of it, say) share the work.
     """
 
@@ -357,14 +385,14 @@ class _Memo:
         self.local: list[dict[int | None, int]] = []
         self.nodes: list[dict[tuple, int]] = [{} for _ in range(MAX_GROUND + 1)]
         self.kids: list[list[tuple]] = [[] for _ in range(MAX_GROUND + 1)]
-        self.done: set[tuple] = set()
+        self.done: list[set[tuple]] = [set() for _ in range(MAX_GROUND + 1)]
         self.mod_ids: dict[DMod, int] = {}
         self.mods: list[DMod] = []
         self.square: dict[tuple, bool] = {}
 
     def size(self) -> int:
         return (len(self.groups) + sum(map(len, self.local)) + sum(map(len, self.kids))
-                + len(self.done) + len(self.mods) + len(self.square))
+                + sum(map(len, self.done)) + len(self.mods) + len(self.square))
 
     def number(self, m: ZMatroid) -> list[int]:
         """The group number of each subset's entry, numbering the
@@ -401,82 +429,40 @@ class _Memo:
 
     def block_keys(self, top: list[int], t: int, e: int, j: int, new: list) -> set[tuple]:
         """The square keys of block j (the subsets j * 2^t + L, L < 2^t)
-        that lie under no tuple in ``done``.
+        that lie under no cube in ``done``.
 
-        P(w, x, y, z) gives the aligned leaves of four nodes, E(x, y) the
-        squares with b inside x and c the label that takes x to y, and
-        S(n) the squares inside n:
-
-            E(x, y) = E(x0, y0) + E(x1, y1) + P(x0, x1, y0, y1)
-            S(n) = S(n0) + S(n1) + E(n0, n1) + P(n0, n1, n1, n1)
-
-        the last term being the degenerate b = c.  The block is S of its
-        node, with E and the degenerate P for each free label c above
-        the block's, and P for each pair b < c of them.  The tuples of
-        level 3 and above visited here are added to ``done`` and to
-        ``new``: the caller removes them again unless every key passes.
+        The block is the cube (a) of its node, with (a, ac) and the
+        degenerate (a, ac, ac, ac) for each free label c above the
+        block's, and (a, ab, ac, abc) for each pair b < c of them.  They
+        are split (``_split``) level by level down to the base, where
+        their keys are read off the leaves.  From level 3 on, each
+        level's cubes drop those in ``done``, and the rest are added to
+        it and to ``new`` as (level, cubes): the caller removes them
+        again unless every key passes.
         """
-        base = min(t, _BASE)
-        kids, leaves = self.kids, self.kids[base]
-        seen = self.done if t >= _BASE else set()
-        squares, edges = _INSIDE[base]
-        out: set[tuple] = set()
-
-        def P(k, w, x, y, z):
-            key = (k, w, x, y, z)
-            if key in seen:
-                return
-            seen.add(key)
-            new.append(key)
-            if k == base:
-                out.update(zip(leaves[w], leaves[x], leaves[y], leaves[z]))
-                return
-            up = kids[k]
-            (w0, w1), (x0, x1), (y0, y1), (z0, z1) = up[w], up[x], up[y], up[z]
-            P(k - 1, w0, x0, y0, z0)
-            P(k - 1, w1, x1, y1, z1)
-
-        def E(k, x, y):
-            key = (k, x, y)
-            if key in seen:
-                return
-            seen.add(key)
-            new.append(key)
-            if k == base:
-                lx, ly = leaves[x], leaves[y]
-                out.update([(lx[i], lx[j], ly[i], ly[j]) for i, j in edges])
-                return
-            up = kids[k]
-            (x0, x1), (y0, y1) = up[x], up[y]
-            E(k - 1, x0, y0)
-            E(k - 1, x1, y1)
-            P(k - 1, x0, x1, y0, y1)
-
-        def S(k, n):
-            key = (k, n)
-            if key in seen:
-                return
-            seen.add(key)
-            new.append(key)
-            if k == base:
-                ln = leaves[n]
-                out.update([(ln[a], ln[b], ln[c], ln[d]) for a, b, c, d in squares])
-                return
-            n0, n1 = kids[k][n]
-            S(k - 1, n0)
-            S(k - 1, n1)
-            E(k - 1, n0, n1)
-            P(k - 1, n0, n1, n1, n1)
-
         a, lo = top[j], j << t
-        S(t, a)
         high = [1 << i - t for i in range(t, e) if not lo >> i & 1]
+        cubes = {(a,)}
         for x, c in enumerate(high):
             ac = top[j | c]
-            E(t, a, ac)
-            P(t, a, ac, ac, ac)
-            for b in high[:x]:
-                P(t, a, top[j | b], ac, top[j | b | c])
+            cubes.update([(a, ac), (a, ac, ac, ac)])
+            cubes.update([(a, top[j | b], ac, top[j | b | c]) for b in high[:x]])
+        base = min(t, _BASE)
+        for k in range(t, base - 1, -1):
+            if t >= _BASE:
+                cubes -= self.done[k]
+                self.done[k] |= cubes
+                new.append((k, cubes))
+            if k > base:
+                cubes = _split(cubes, self.kids[k])
+        leaves, picks = self.kids[base], _PICKS[base]
+        out: set[tuple] = set()
+        for cube in cubes:
+            if len(cube) == 4:
+                out.update(zip(*map(leaves.__getitem__, cube)))
+            else:
+                cat = sum(map(leaves.__getitem__, cube), ())
+                out.update([(cat[w], cat[x], cat[y], cat[z]) for w, x, y, z in picks[len(cube)]])
         return out
 
     def screen(self, squares: set[tuple]) -> set[tuple]:
@@ -502,7 +488,7 @@ class _Memo:
 
 
 # Bound on what the certifier keeps between calls (groups and their local
-# modules, tree nodes, certified tuples and decisions), as for the
+# modules, tree nodes, certified cubes and decisions), as for the
 # check_square cache; checked after each call.
 _MEMO_BOUND = 1 << 18
 _memo = _Memo()
@@ -514,7 +500,7 @@ def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
 
     The subsets A ascend in at most 32 blocks of 2^t.  A block's square
     keys, the degenerate b = c ones included, are gathered from the
-    memo's subset tree, skipping the tuples of nodes certified before
+    memo's subset tree, skipping the cubes certified before
     (by this call or an earlier one, on this table or one sharing its
     subcubes).  They are screened at the generic point (free ranks) and
     at each prime of their entries, at stages 1-2 of the local decision
@@ -528,21 +514,22 @@ def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
     again and its walk asks check_square again, a cache hit.  The walk
     stops at the first violation, which is therefore the same, found by
     the same witness searches, as a walk over every key; the block's
-    tuples are then not kept as certified.
+    cubes are then not kept as certified.
     """
     code = memo.number(m)
     e = len(m.labels)
     t = max(e - 5, min(e, 3))  # blocks of 2^t subsets, at most 32 of them
     top = memo.tree(code, t)
     for j in range(len(top)):
-        new: list[tuple] = []
+        new: list[tuple[int, set]] = []
         bad = memo.screen(memo.block_keys(top, t, e, j, new))
         if not bad:
             continue
         lo = j << t
         v = _walk(m.labels, code, memo.groups, lo, lo + (1 << t), bad)
         if v is not None:
-            memo.done.difference_update(new)
+            for k, cubes in new:
+                memo.done[k] -= cubes
             return Verdict((v,))
     return Verdict()
 

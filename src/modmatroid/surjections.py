@@ -27,7 +27,9 @@ need not exist.  The full decision therefore runs in three stages:
    forced height profile, and every realization of that profile is a
    unit-and-lift twist of finitely many canonical ones.  Each candidate
    is verified by direct integer quotient computation, once per element
-   of N0 it reduces to, so a hit is always genuine.
+   of N0 it reduces to, so a hit is always genuine.  Exhaustive pair
+   search settles a miss up to _ORACLE_ORDER, the order of N0's p-part
+   (no-pair); past it a miss is no-witness-pair, which proves nothing.
 
 Stage 3 depends on the residue field, not only on the sequences:
 Z/2+Z/8 against Z/4, Z/4, Z/2 has no witness pair at p = 2, while the
@@ -75,15 +77,20 @@ from itertools import product
 
 from .abgroups import INF, DMod, FgAbGroup, cokernel, d_seq, localize, pval, support_primes
 from .intmat import Record, setfield, smith_normal_form, transpose
+from .oracle import pushout_oracle
 
 # failure kinds, also used verbatim in diagnostics
 RANK_DROP = "rank-drop"
 M1_LOCAL = "M1-local"
 L2A = "L2a"
 L2B = "L2b"
-NO_PAIR = "no-witness-pair"
+NO_WITNESS = "no-witness-pair"
+NO_PAIR = "no-pair"
 
 _SEARCH_GUARD = 500_000
+# Largest order of N0's p-part at which oracle.pushout_oracle (64^2 pairs
+# at most, a few tenths of a second) settles a miss of the witness search
+_ORACLE_ORDER = 64
 
 # Largest exponent per prime for which the stage-2/3 refinement of the
 # square test is enabled.  Each entry matches an exhaustive comparison
@@ -99,10 +106,10 @@ class SquareVerdict(Record):
     """Outcome of a (possibly degenerate) square check.
 
     ``kind`` is None when ok; otherwise one of rank-drop, M1-local, L2a,
-    L2b, no-witness-pair, with the prime and the d-index (M1-local), the
-    partial-sum horizon (L2a/L2b), or the blocked joint-descent index
-    (no-witness-pair).  Local kinds carry prime=None when the check ran
-    directly over a discrete valuation ring.
+    L2b, no-pair, no-witness-pair, with the prime and the d-index
+    (M1-local), the partial-sum horizon (L2a/L2b), or the blocked
+    joint-descent index (the last two).  Local kinds carry prime=None
+    when the check ran directly over a discrete valuation ring.
     """
 
     __slots__ = ("ok", "kind", "prime", "index")
@@ -381,10 +388,11 @@ def check_square(
     quadruples within the validated exponent range, when they pass but
     the summand supply audit at some prime comes up short, the answer
     comes from the verified witness search on the torsion parts at that
-    prime, and a miss is reported as no-witness-pair at the blocked
-    index.  When no prime divides a torsion order, the slope conditions of the free ranks
-    decide, with prime None.  A witness search that raises is not cached
-    and propagates.
+    prime.  A miss is reported at the blocked index: up to
+    _ORACLE_ORDER exhaustive pair search passes it or reports no-pair,
+    past it as no-witness-pair.  When no prime divides a torsion order,
+    the slope conditions of the free ranks decide, with prime None.  A
+    witness search that raises is not cached and propagates.
     """
     for a, b in ((n0, n1), (n0, n2), (n1, n12), (n2, n12)):
         if a.rank - b.rank not in (0, 1):
@@ -399,5 +407,9 @@ def check_square(
             return SquareVerdict(False, f.kind, p, f.index)
         short = _unsupplied(exact_cap(p), *local)
         if short and not _witness_search(*(DMod(0, m.exps) for m in local), p):
-            return SquareVerdict(False, NO_PAIR, p, short[0])
+            if p ** local[0].length > _ORACLE_ORDER:
+                return SquareVerdict(False, NO_WITNESS, p, short[0])
+            groups = (FgAbGroup(0, tuple(p**e for e in reversed(m.exps))) for m in local)
+            if not pushout_oracle(*groups, _ORACLE_ORDER):
+                return SquareVerdict(False, NO_PAIR, p, short[0])
     return _OK

@@ -34,8 +34,18 @@ BAD_MATROID = {
         "1,2": {"rank": 0, "torsion": []},
     },
 }
-# the smallest torsion failure lifted by a free summand: every rank is 1,
-# so the square is decided on its torsion parts, where no pair is found
+# the smallest torsion failure: no element pair has the three quotients
+TORSION_MATROID = {
+    "ground_set": ["a", "b"],
+    "modules": {
+        "": {"rank": 0, "torsion": [2, 8]},
+        "a": {"rank": 0, "torsion": [4]},
+        "b": {"rank": 0, "torsion": [4]},
+        "a,b": {"rank": 0, "torsion": [2]},
+    },
+}
+# the same lifted by a free summand: every rank is 1, so the square is
+# decided on its torsion parts, where no pair exists
 LIFT_MATROID = {
     "ground_set": ["a", "b"],
     "modules": {
@@ -118,12 +128,15 @@ def test_check_internal_failure_exits_3(run, monkeypatch):
                    " for the exact square decision\n")
 
 
-def test_check_equal_rank_lift_is_undecided(run):
-    code, out, _ = run(["check"], LIFT_MATROID)
-    assert code == 4 and out == "undecided A={} b=a c=b: no-witness-pair p=2 n=2\n"
+@pytest.mark.parametrize("doc", [TORSION_MATROID, LIFT_MATROID], ids=["torsion", "lift"])
+def test_check_exhaustive_no_pair_is_a_violation(run, doc):
+    # the witness search misses, and N0's 2-part has order 16, so
+    # exhaustive pair search decides: no pair exists, a verified negative
+    code, out, _ = run(["check"], doc)
+    assert code == 1 and out == "violation A={} b=a c=b: no-pair p=2 n=2\n"
 
 
-@pytest.mark.parametrize("doc, code", [(BAD_MATROID, 1), (LIFT_MATROID, 4)],
+@pytest.mark.parametrize("doc, code", [(BAD_MATROID, 1), (LIFT_MATROID, 1)],
                          ids=["non-matroid", "lift"])
 def test_verifying_commands_print_the_check_line(run, doc, code):
     checked = run(["check"], doc)
@@ -393,6 +406,16 @@ def test_oracle_verify_refuses_a_max_order_past_the_bound(capsys):
             main(["oracle-verify", "--max-order", value])
         assert exc.value.code == 2
         assert "argument --max-order" in capsys.readouterr().err
+
+
+def test_oracle_verify_refuses_a_max_order_below_1(capsys):
+    # no group has order below 1, so such a bound would check nothing
+    assert build_parser().parse_args(["oracle-verify", "--max-order", "1"]).max_order == 1
+    for value in ("0", "-1", "-64"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-verify", "--max-order", value])
+        assert exc.value.code == 2
+        assert "max order must be from 1 to 1000" in capsys.readouterr().err
 
 
 def test_missing_file(run, capsys):

@@ -578,10 +578,10 @@ def check_gathering(memo, table, e):
     under = {}
     for j in range(len(top)):
         want = slice_keys(code, j << t, t, e)
-        kept, memo.done = memo.done, set()
+        kept, memo.done = memo.done, [set() for _ in memo.done]
         assert memo.block_keys(top, t, e, j, []) == want
         memo.done = kept
-        for tup in kept:
+        for tup in ((k, *cube) for k, cubes in enumerate(kept) for cube in cubes):
             if tup not in under:
                 under[tup] = tuple_keys(memo, tup)
         covered = set().union(*under.values())
@@ -589,7 +589,8 @@ def check_gathering(memo, table, e):
         got = memo.block_keys(top, t, e, j, new)
         assert got <= want <= got | covered
         if memo.screen(got):
-            memo.done.difference_update(new)
+            for k, cubes in new:
+                memo.done[k] -= cubes
 
 
 def gathering_tables():
@@ -609,6 +610,21 @@ def gathering_tables():
         yield m.labels, tuple(table)
         yield m.labels, m.table
         yield m.labels, (FgAbGroup(1, (2,)),) * (1 << e)
+
+
+def test_base_picks_are_the_listed_keys():
+    # the cube-splitting rule run on leaf positions against the keys
+    # inside one node of 2^k leaves listed directly: the squares
+    # (L, Lb, Lc, Lbc), b <= c, and the edges (L, Lb), the L avoiding b
+    # and c, whose keys take L and Lb from x and from y
+    for k in range(matroids._BASE + 1):
+        bits = [1 << i for i in range(k)]
+        squares = [(L, L | b, L | c, L | b | c) for x, b in enumerate(bits) for c in bits[x:]
+                   for L in range(1 << k) if not L & (b | c)]
+        edges = [(L, L | b) for b in bits for L in range(1 << k) if not L & b]
+        size = 1 << k
+        assert matroids._PICKS[k][1] == sorted(squares)
+        assert matroids._PICKS[k][2] == sorted((i, j, size + i, size + j) for i, j in edges)
 
 
 def test_tree_keys_match_slice_gathering():
@@ -689,8 +705,11 @@ def test_early_square_failing_only_at_3_is_named_before_a_later_one_at_2():
 @pytest.mark.parametrize("smaller,larger,want", [
     # p = 3 passes through the witness search, p = 5 fails the sequence test
     (((3, 27), (9,), (9,), (3,)), (125, 5, 5, 1), "L2a p=5 n=1"),
-    # p = 2 finds no witness pair; p = 3 would fail the sequence test
-    (((2, 8), (4,), (4,), (2,)), (27, 3, 3, 1), "no-witness-pair p=2 n=2"),
+    # p = 2 finds no witness pair, past the order of exhaustive search;
+    # p = 3 would fail the sequence test
+    (((2, 128), (4,), (4,), (2,)), (27, 3, 3, 1), "no-witness-pair p=2 n=2"),
+    # the same within it: p = 2 has no pair
+    (((2, 8), (4,), (4,), (2,)), (27, 3, 3, 1), "no-pair p=2 n=2"),
 ])
 def test_square_verdict_is_check_squares_across_primes(monkeypatch, smaller, larger, want):
     table = tuple(canonicalize(fs + (q,)) for fs, q in zip(smaller, larger))
@@ -804,17 +823,17 @@ def test_certifier_memo_is_bounded(monkeypatch):
     for _ in range(2):
         assert is_matroid(ZMatroid(m.labels, m.table)).ok
         assert matroids._memo.size() <= 50
-    # the size counts tree nodes and certified tuples: a 5-label table of
+    # the size counts tree nodes and certified cubes: a 5-label table of
     # equal entries keeps one group with the number of its one local
     # module (its free part, as it has no support prime), one level-3
-    # node, the tuples S, E and the degenerate P of that node, the local
-    # module itself and one local decision, 8 items, so a bound of 7
-    # drops it
+    # node n, the cubes (n), (n, n) and the degenerate (n, n, n, n), the
+    # local module itself and one local decision, 8 items, so a bound of
+    # 7 drops it
     monkeypatch.setattr(matroids, "_memo", matroids._Memo())
     equal = ZMatroid(tuple("abcde"), (FgAbGroup(1),) * 32)
     assert is_matroid(equal).ok
     memo = matroids._memo
-    assert sum(map(len, memo.kids)) == 1 and len(memo.done) == 3
+    assert sum(map(len, memo.kids)) == 1 and sum(map(len, memo.done)) == 3
     assert memo.size() == 8
     monkeypatch.setattr(matroids, "_MEMO_BOUND", 7)
     assert is_matroid(equal).ok

@@ -9,6 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # imported but never called, so perfbench/spans.py can trace calls through it
 EXEMPT = {
     ("src/modmatroid/cli.py", "factorize"),
+    ("src/modmatroid/cli.py", "is_matroid"),
     ("src/modmatroid/matroids.py", "check_m1"),
     ("src/modmatroid/matroids.py", "cokernel"),
     ("src/modmatroid/tutte.py", "dual"),

@@ -16,6 +16,7 @@ from modmatroid.surjections import (
     L2B,
     M1_LOCAL,
     NO_PAIR,
+    NO_WITNESS,
     RANK_DROP,
     _local_cokernel,
     _nmax,
@@ -153,6 +154,34 @@ def test_positive_rank_gets_the_torsion_verdict():
     v = check_square(fg(1, (2, 8)), fg(1, (4,)), fg(1, (4,)), fg(1, (2,)))
     assert v == check_square(fg(0, (2, 8)), fg(0, (4,)), fg(0, (4,)), fg(0, (2,)))
     assert not v.ok and v.kind == NO_PAIR and v.prime == 2 and v.index == 2
+
+
+def test_witness_search_miss_goes_to_exhaustive_search_up_to_order_64(monkeypatch):
+    # the shape of the smallest failure with N0 of order 64 is settled
+    # by exhaustive pair search, which finds no pair; at order 128 the
+    # miss stays undecided and exhaustive search is not asked
+    asked = []
+    oracle = surjections.pushout_oracle
+    monkeypatch.setattr(surjections, "pushout_oracle",
+                        lambda *a: asked.append(a[0]) or oracle(*a))
+    check_square.cache_clear()
+    small = (fg(0, (2, 32)), fg(0, (4,)), fg(0, (4,)), fg(0, (2,)))
+    big = (fg(0, (2, 64)), fg(0, (4,)), fg(0, (4,)), fg(0, (2,)))
+    assert check_square(*small) == surjections.SquareVerdict(False, NO_PAIR, 2, 2)
+    assert check_square(*big) == surjections.SquareVerdict(False, NO_WITNESS, 2, 2)
+    assert asked == [small[0]]
+    check_square.cache_clear()
+
+
+def test_exhaustive_search_overturns_a_witness_search_miss(monkeypatch):
+    # a square short of summand supply whose pair exists, N0 of order 64:
+    # a witness search that misses it is overturned
+    quad = (fg(0, (4, 16)), fg(0, (8,)), fg(0, (8,)), fg(0, (4,)))
+    assert _reaches_witness_search(tuple(localize(g, 2) for g in quad), 2)
+    monkeypatch.setattr(surjections, "_witness_search", lambda *a: False)
+    check_square.cache_clear()
+    assert check_square(*quad).ok
+    check_square.cache_clear()
 
 
 def _torsion_quadruples():
