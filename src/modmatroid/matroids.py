@@ -181,6 +181,9 @@ class Realization(Record):
 
     def __init__(self, labels: tuple[str, ...], relations: Mat, vectors: Mat):
         _check_ground(labels)
+        # row-major, so a 0 x e generator matrix has no room for its columns
+        if labels and not vectors:
+            raise ValueError("a realization of labels needs at least one ambient row")
         n, m = shape(relations)
         nv, e = shape(vectors)
         if e != len(labels):

@@ -222,7 +222,9 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     forced offsets, twisted by unit classes on carriers that interact
     with x.  Every candidate pair is checked by recomputing all three
     quotients, so True is unconditional; False means no candidate in
-    the enumerated family worked.  Both quotients of a candidate y
+    the enumerated family worked.  Once stage 1 has passed and N0/(x) is
+    checked to be N1, x and the carriers always exist, so a miss comes
+    only from the candidate loop.  Both quotients of a candidate y
     depend only on its element of N0 (each coordinate mod p^e_j), so
     each element is tested once per search and the cost is bounded by
     the elements met, not by the integer candidates; the candidate
@@ -238,16 +240,13 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     rel = [[p ** exps[j] if i == j else 0 for j in range(n)] for i in range(n)]
 
     # canonical x: one exact-exponent summand per block, offsets forced
-    # by the block starts
-    used: set[int] = set()
+    # by the block starts.  A block ending at e leaves N0 with one more
+    # summand of exponent e than N1, and different blocks end at
+    # different exponents, so each block finds its own summand
     x = [0] * n
     t = 0
     for s, e in phi_runs:
-        idx = next((j for j in range(n) if exps[j] == e and j not in used), None)
-        if idx is None:
-            return False
-        used.add(idx)
-        x[idx] = p ** (s - t)
+        x[exps.index(e)] = p ** (s - t)
         t += e - s
     if _local_cokernel(rel + [x], p) != n1:
         raise RuntimeError("canonical element does not give the stated quotient")
@@ -265,19 +264,19 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
 
     def untouched(vec: list[int]) -> bool:
         nz = [j for j in range(n) if vec[j]]
-        return len(nz) == 1 and abs(vec[nz[0]]) == 1 and nz[0] not in used
+        return len(nz) == 1 and abs(vec[nz[0]]) == 1 and not x[nz[0]]
 
     # per block of the psi' profile, carriers of exponent equal to the
-    # block end and the offset forced by the block start; no carrier or a
-    # negative offset means no element realizes the profile
+    # block end and the offset forced by the block start.  N0/(x) is N1,
+    # so it has a generator of every block end; the blocks are disjoint
+    # and separated, so the offset is at least 1 after the first; and
+    # carriers of different blocks differ in exponent, so no choice of
+    # carriers repeats one
     carrier_sets: list[list[int]] = []
     coefs: list[int] = []
     t = 0
     for s, e in psi_prime_runs:
-        opts = [gi for gi, (eg, _) in enumerate(gens) if eg == e]
-        if not opts or s - t < 0:
-            return False
-        carrier_sets.append(opts)
+        carrier_sets.append([gi for gi, (eg, _) in enumerate(gens) if eg == e])
         coefs.append(s - t)
         t += e - s
 
@@ -293,8 +292,6 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     failed: set[tuple[int, ...]] = set()
     tried = 0
     for idxs in product(*carrier_sets):
-        if len(set(idxs)) < len(idxs):
-            continue
         carriers = [gens[gi] for gi in idxs]
         unit_sets = [[1] if untouched(vec) else unit_reps for (_, vec) in carriers]
         for units in product(*unit_sets):

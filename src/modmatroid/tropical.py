@@ -99,13 +99,14 @@ def _exchange_check(h: HeightFunction, size: int | None) -> Verdict:
     then B minus A in label order.  Every instance of one class (X, Z)
     has the same terms, so each class with |Z| >= |X| + 2 is decided
     once, and only a violating class expands into its instances, listed
-    in (A, B, a) order.  A class with X in Z and |Z| = |X| + 2 has two
-    terms, both p[X + c] + p[X + c'], so it always holds and is skipped.
-    So does a class whose X is level-up (p[X + c] is the same for every
-    c outside X) and whose Z is level-down (p[Z - c] is the same for
-    every c in Z): its terms all equal one sum, and there are at least
-    two.  Realized heights are mostly level, so for a level-up X only
-    the Z that are not level-down are walked.
+    in (A, B, a) order.  A class whose X is level-up (p[X + c] is the
+    same for every c outside X) and whose Z is level-down (p[Z - c] is
+    the same for every c in Z) always holds: its terms all equal one
+    sum, and there are at least two.  Realized heights are mostly level,
+    so for a level-up X only the Z that are not level-down are walked.
+    A class with X in Z and |Z| = |X| + 2 also always holds, its two
+    terms both being p[X + c] + p[X + c'], but finding it costs more
+    than deciding it, so it is decided like any other.
     ``size`` restricts A and B to subsets of that size, that is
     |X| = size - 1 and |Z| = size + 1.
     """
@@ -129,18 +130,14 @@ def _exchange_check(h: HeightFunction, size: int | None) -> Verdict:
     unlevel = [[z for z in zs if len(set(map(flip[z].__getitem__, pos[z]))) > 1] for zs in by_size]
     found = []
     for k, z_sizes in walks:
-        near = set(by_size[k + 2]), set(unlevel[k + 2])
         for x in by_size[k]:
             up = flip[x]  # p[X + c] for c outside X
             outside = ~x
-            rest = pos[full ^ x]
             # a level-up X fails only with a Z that is not level-down
-            level = len(set(map(up.__getitem__, rest))) == 1
+            level = len(set(map(up.__getitem__, pos[full ^ x]))) == 1
             zs = unlevel if level else by_size
-            # the Z = X + c + c', whose two terms p[X + c] + p[X + c'] agree
-            two = [x | 1 << b | 1 << c for b, c in combinations(rest, 2)]
             for z_size in z_sizes:
-                for z in zs[z_size] if z_size > k + 2 else near[level].difference(two):
+                for z in zs[z_size]:
                     down = flip[z]  # p[Z - c] for c in Z
                     terms = [up[c] + down[c] for c in pos[z & outside]]
                     if terms.count(min(terms)) < 2:  # all-INF terms count in full

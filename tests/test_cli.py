@@ -194,6 +194,17 @@ def test_galedual(run):
     }
 
 
+@pytest.mark.parametrize("command", ["realize", "galedual"])
+def test_zero_dimensional_ambient(run, command):
+    # one empty column per label is given, but no ambient row holds them
+    code, out, err = run([command], {"ambient_relations": [], "generators": {"a": [], "b": []}})
+    assert code == 2 and out == ""
+    assert err == "error: a realization of labels needs at least one ambient row\n"
+    # with no labels either, the document realizes
+    code, out, err = run([command], {"ambient_relations": [], "generators": {}})
+    assert code == 0 and err == ""
+
+
 def test_minor(run):
     code, out, err = run(["minor", "--delete", "2"], GOOD_MATROID)
     assert code == 0

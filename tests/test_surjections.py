@@ -10,7 +10,7 @@ from modmatroid import surjections
 from modmatroid.abgroups import INF, DMod, FgAbGroup, TRIVIAL, canonicalize, d_seq, localize
 from modmatroid.intmat import smith_normal_form, transpose
 from modmatroid.matroids import Realization, from_realization, subsets
-from modmatroid.oracle import abelian_p_groups
+from modmatroid.oracle import abelian_p_groups, pushout_oracle
 from modmatroid.surjections import (
     L2A,
     L2B,
@@ -496,11 +496,12 @@ def _reaches_witness_search(quad, p):
     return square_failure_dvr(*quad).ok and bool(_unsupplied(exact_cap(p), *quad))
 
 
-def _oracle_range_squares():
-    """Every local square of groups in oracle-verify's range (p = 2 to
-    order 32, p = 3 to order 27) that reaches the witness search."""
+def _oracle_range_squares(ranges=((2, 32), (3, 27))):
+    """Every local square of groups up to the given order at each prime
+    (by default oracle-verify's range, p = 2 to order 32 and p = 3 to
+    order 27) that reaches the witness search."""
     out = []
-    for p, most in ((2, 32), (3, 27)):
+    for p, most in ranges:
         mods = [localize(g, p) for g in abelian_p_groups(p, most)]
         # every edge of a square that passes stage 1 is a cyclic-kernel map
         onto = {m: [d for d in mods if m1_failure_dvr(m, d).ok] for m in mods}
@@ -576,6 +577,16 @@ def test_witness_search_decides_each_class_once(stage3_squares, monkeypatch):
 
         monkeypatch.setattr(surjections, "_local_cokernel", recording)
         _witness_search(*quad, p)
+
+
+def test_witness_search_agrees_with_exhaustive_search():
+    # check_square hands a miss up to order 64 to pushout_oracle, so
+    # oracle-verify cannot tell a wrong miss there; compare directly
+    squares = _oracle_range_squares(((2, 64), (3, 81), (5, 25)))
+    assert Counter(p for _, p in squares) == {2: 15, 3: 1}
+    for quad, p in squares:
+        groups = (FgAbGroup(0, tuple(p**e for e in reversed(m.exps))) for m in quad)
+        assert _witness_search(*quad, p) == pushout_oracle(*groups), (quad, p)
 
 
 def test_witness_search_guard_counts_candidates(monkeypatch):
