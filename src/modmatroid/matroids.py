@@ -358,34 +358,42 @@ def _picks(k: int, size: int) -> list[tuple]:
 
 
 _PICKS = [{size: _picks(k, size) for size in (1, 2)} for k in range(_BASE + 1)]
+# Per _PICKS entry, one itemgetter reading its keys' entries off the
+# nodes' leaves as one flat tuple, four a key (level 0 has no keys)
+_GETS = [{size: itemgetter(*chain(*picks)) if picks else lambda cat: ()
+          for size, picks in sizes.items()} for sizes in _PICKS]
 
 
 class _Memo:
     """What the certifier keeps between calls, under integer names.
 
     Groups are numbered in order of first sight, and so are their local
-    modules, once per group when it is first seen: ``local[i]`` maps
-    None to the number of group i's free part (its localization at the
-    generic point) and each support prime p of the group to the number
-    of its localization at p; at any other prime the localization is
-    the free part.  Equal subcubes of tables are shared in a subset
-    tree: a node at level k stands for 2^k consecutive entries (the
-    subsets L + offset, L < 2^k); up to level 3 it is keyed by its
-    tuple of entry numbers, above it by the pair of its halves, and
-    ``nodes[k]`` numbers the level's nodes (``kids[k]`` maps numbers
-    back).  Square keys (tuples of group numbers, the degenerate
-    (A, Ab, Ab, Ab) among them) are gathered from cubes, tuples of
-    nodes of one level (``block_keys``); ``done[k]`` holds the cubes of
-    level k >= 3 whose keys are all certified to pass.  Stage 1-2
-    decisions are kept per (cap, local quadruple); full decisions only
-    in check_square's cache.  Tables that share entries or subcubes (a table and edited
-    copies of it, say) share the work.
+    modules, once per group when it is first seen: ``free[i]`` is the
+    number of group i's free part (its localization at the generic
+    point), and ``local[i]`` maps each support prime p of the group to
+    the number of its localization at p; at any other prime the
+    localization is the free part.  ``caps`` maps every prime seen to
+    its ``exact_cap``, and the generic point None to 0.  Equal subcubes
+    of tables are shared in a subset tree: a node at level k stands for
+    2^k consecutive entries (the subsets L + offset, L < 2^k); up to
+    level 3 it is keyed by its tuple of entry numbers, above it by the
+    pair of its halves, and ``nodes[k]`` numbers the level's nodes
+    (``kids[k]`` maps numbers back).  Square keys (tuples of group
+    numbers, the degenerate (A, Ab, Ab, Ab) among them) are gathered
+    from cubes, tuples of nodes of one level (``block_keys``);
+    ``done[k]`` holds the cubes of level k >= 3 whose keys are all
+    certified to pass.  Stage 1-2 decisions are kept per (cap, local
+    quadruple); full decisions only in check_square's cache.  Tables
+    that share entries or subcubes (a table and edited copies of it,
+    say) share the work.
     """
 
     def __init__(self):
         self.ids: dict[FgAbGroup, int] = {}
         self.groups: list[FgAbGroup] = []
-        self.local: list[dict[int | None, int]] = []
+        self.free: list[int] = []
+        self.local: list[dict[int, int]] = []
+        self.caps: dict[int | None, int] = {None: 0}
         self.nodes: list[dict[tuple, int]] = [{} for _ in range(MAX_GROUND + 1)]
         self.kids: list[list[tuple]] = [[] for _ in range(MAX_GROUND + 1)]
         self.done: list[set[tuple]] = [set() for _ in range(MAX_GROUND + 1)]
@@ -394,26 +402,32 @@ class _Memo:
         self.square: dict[tuple, bool] = {}
 
     def size(self) -> int:
-        return (len(self.groups) + sum(map(len, self.local)) + sum(map(len, self.kids))
-                + sum(map(len, self.done)) + len(self.mods) + len(self.square))
+        return (len(self.groups) + len(self.free) + sum(map(len, self.local))
+                + sum(map(len, self.kids)) + sum(map(len, self.done)) + len(self.mods)
+                + len(self.square))
 
     def number(self, m: ZMatroid) -> list[int]:
         """The group number of each subset's entry, numbering the
         entries not seen before and their local modules."""
-        ids, mod_ids = self.ids, self.mod_ids
+        ids, caps = self.ids, self.caps
         for g in m.entries:
             if g not in ids:
                 ids[g] = len(self.groups)
                 self.groups.append(g)
-                local = {None: DMod(g.rank)}
-                local.update((p, localize(g, p)) for p in support_primes(g))
-                for p, mod in local.items():
-                    if mod not in mod_ids:
-                        mod_ids[mod] = len(self.mods)
-                        self.mods.append(mod)
-                    local[p] = mod_ids[mod]
-                self.local.append(local)
+                self.free.append(self._mod(DMod(g.rank)))
+                primes = support_primes(g)
+                self.local.append({p: self._mod(localize(g, p)) for p in primes})
+                for p in primes:
+                    if p not in caps:
+                        caps[p] = exact_cap(p)
         return list(map([ids[g] for g in m.entries].__getitem__, m.code))
+
+    def _mod(self, mod: DMod) -> int:
+        """The number of a local module, numbering it if not seen before."""
+        n = self.mod_ids.setdefault(mod, len(self.mods))
+        if n == len(self.mods):
+            self.mods.append(mod)
+        return n
 
     def tree(self, code: list[int], t: int) -> list[int]:
         """The level-t nodes of the entry numbers ``code``, one per block
@@ -458,29 +472,41 @@ class _Memo:
                 new.append((k, cubes))
             if k > base:
                 cubes = _split(cubes, self.kids[k])
-        leaves, picks = self.kids[base], _PICKS[base]
+        leaves, gets = self.kids[base], _GETS[base]
         out: set[tuple] = set()
         for cube in cubes:
             if len(cube) == 4:
                 out.update(zip(*map(leaves.__getitem__, cube)))
             else:
-                cat = sum(map(leaves.__getitem__, cube), ())
-                out.update([(cat[w], cat[x], cat[y], cat[z]) for w, x, y, z in picks[len(cube)]])
+                flat = iter(gets[len(cube)](sum(map(leaves.__getitem__, cube), ())))
+                out.update(zip(flat, flat, flat, flat))
         return out
 
     def screen(self, squares: set[tuple]) -> set[tuple]:
-        """Stages 1-2 for the keys, in one pass: at the generic point (the
-        None of each group's local map), and at every prime of their
-        entries (at any other prime a key's local modules are its free
-        parts, as at the generic point), each (cap, local quadruple)
-        decided once.  Returns the keys that did not pass everywhere."""
-        local, mods, seen = self.local, self.mods, self.square
+        """Stages 1-2 for the keys, in one pass: each key at the primes of
+        its entries (at any other prime its local modules are its free
+        parts), and only a key with no prime at the generic point, on its
+        free parts with cap 0; each (cap, local quadruple) decided once.
+        Returns the keys that did not pass everywhere.
+
+        A key that passes at one prime passes at the generic point too.
+        At a prime the sequence test runs to 1 + the largest exponent,
+        where every d_i is the rank: it checks each edge's rank drop and,
+        in its tail, r0 - r1 - r2 + r12 >= 0, the generic point's stage-1
+        conditions.  Its L2b there (the sum 0 when r1 and r2 differ)
+        follows from drops of 0 or 1, and with equal end ranks such drops
+        make all four ranks equal, so stage 2 at cap 0 finds no joint
+        descent to supply.
+        """
+        local, free, caps, mods, seen = self.local, self.free, self.caps, self.mods, self.square
         bad: set[tuple] = set()
         for k in squares:
-            l0, l1, l2, l3 = map(local.__getitem__, k)
-            f0, f1, f2, f3 = l0[None], l1[None], l2[None], l3[None]
-            for p in {*l0, *l1, *l2, *l3}:
-                key = (exact_cap(p), l0.get(p, f0), l1.get(p, f1), l2.get(p, f2), l3.get(p, f3))
+            g0, g1, g2, g3 = k
+            l0, l1, l2, l3 = local[g0], local[g1], local[g2], local[g3]
+            f0, f1, f2, f3 = free[g0], free[g1], free[g2], free[g3]
+            # None, the generic point, is in no local map: there every key reads its free parts
+            for p in {*l0, *l1, *l2, *l3} or (None,):
+                key = (caps[p], l0.get(p, f0), l1.get(p, f1), l2.get(p, f2), l3.get(p, f3))
                 ok = seen.get(key)
                 if ok is None:
                     ok = seen[key] = square_screen(key[0], *map(mods.__getitem__, key[1:]))
@@ -505,11 +531,12 @@ def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
     keys, the degenerate b = c ones included, are gathered from the
     memo's subset tree, skipping the cubes certified before
     (by this call or an earlier one, on this table or one sharing its
-    subcubes).  They are screened at the generic point (free ranks) and
-    at each prime of their entries, at stages 1-2 of the local decision
-    (sequence conditions and summand supply), on the local modules the
-    memo numbered once per group.  A key that passes everywhere passes
-    check_square, so a block whose keys all pass needs no more.
+    subcubes).  They are screened at each prime of their entries, and at
+    the generic point (free ranks) only when they have none, at stages
+    1-2 of the local decision (sequence conditions and summand supply),
+    on the local modules the memo numbered once per group.  A key that
+    passes everywhere passes check_square, so a block whose keys all
+    pass needs no more.
     Otherwise the block is walked in scan order, and each key that
     failed the screen is decided in full by check_square, which may
     still pass it through the witness search.  No set of keys passed

@@ -328,10 +328,10 @@ def check_m1(src: FgAbGroup, dst: FgAbGroup) -> SquareVerdict:
     return check_square.__wrapped__(src, dst, dst, dst)
 
 
-def exact_cap(p: int | None) -> int:
-    """Largest exponent at which the stage-2/3 refinement applies at p;
-    0 at the generic point (p None), where every module is free."""
-    return 0 if p is None else _EXACT_CAPS.get(p, _EXACT_CAP_DEFAULT)
+def exact_cap(p: int) -> int:
+    """Largest exponent at which the stage-2/3 refinement applies at the
+    prime p."""
+    return _EXACT_CAPS.get(p, _EXACT_CAP_DEFAULT)
 
 
 def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list[int]:
@@ -365,12 +365,15 @@ def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list[int]:
 
 
 def square_screen(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> bool:
-    """Stages 1 and 2 of the square test at a prime with ``exact_cap`` cap.
+    """Stages 1 and 2 of the square test at a prime with ``exact_cap`` cap,
+    or at the generic point on free modules with cap 0.
 
     True means the square exists there.  False means the sequence test
     fails or the summand supply falls short, so only the full decision
     (``check_square``) can tell.  The answer depends on the prime only
-    through its cap.
+    through its cap.  A pass at a prime implies a pass of the free parts
+    at the generic point, so the generic point need be asked only when a
+    square has no prime.
     """
     return square_failure_dvr(n0, n1, n2, n12).ok and not _unsupplied(cap, n0, n1, n2, n12)
 

@@ -90,6 +90,14 @@ def three_term_check(h: HeightFunction) -> Verdict:
     ))
 
 
+class _Positions(dict):
+    """The bit positions of each mask, ascending, found on first read."""
+
+    def __missing__(self, m: int) -> list[int]:
+        out = self[m] = [i for i in range(m.bit_length()) if m >> i & 1]
+        return out
+
+
 def _exchange_check(h: HeightFunction, size: int | None) -> Verdict:
     """Single-element exchanges over pairs |A| <= |B|, one decision per relation.
 
@@ -119,15 +127,18 @@ def _exchange_check(h: HeightFunction, size: int | None) -> Verdict:
         walks = [(size - 1, (size + 1,))] if 0 < size < e else []
     if not walks:
         return Verdict()
-    # the bit positions of every subset, and its heights with one bit flipped
-    pos = [[i for i in range(e) if m >> i & 1] for m in subsets(e)]
-    flip = [[p[m ^ 1 << i] for i in range(e)] for m in subsets(e)]
+    # the subsets of the sizes walked, ascending, and their heights with
+    # one bit flipped; bit positions as the walk reads them
+    bits = [1 << i for i in range(e)]
+    z_walked = set().union(*(zs for _, zs in walks))
+    by_size = {k: sorted(map(sum, combinations(bits, k)))
+               for k in z_walked.union(k for k, _ in walks)}
+    flip = {m: [p[m ^ b] for b in bits] for ms in by_size.values() for m in ms}
+    pos = _Positions()
     full = (1 << e) - 1
-    by_size = [[] for _ in range(e + 1)]
-    for m in subsets(e):
-        by_size[len(pos[m])].append(m)
-    # per size, the Z that are not level-down
-    unlevel = [[z for z in zs if len(set(map(flip[z].__getitem__, pos[z]))) > 1] for zs in by_size]
+    # per Z size, the Z that are not level-down
+    unlevel = {k: [z for z in by_size[k] if len(set(map(flip[z].__getitem__, pos[z]))) > 1]
+               for k in z_walked}
     found = []
     for k, z_sizes in walks:
         for x in by_size[k]:

@@ -637,6 +637,59 @@ def test_tree_keys_match_slice_gathering():
         check_gathering(copy.deepcopy(warm), table, e)
 
 
+# a realized table some of whose squares fall short of summand supply at
+# p = 3, so that the witness search decides them
+SHORT_SUPPLY = from_realization(Realization(
+    ("a", "b", "c", "d"), [[243, 0, 0], [0, 27, 0], [0, 0, 9]],
+    [[-15, 15, 13, -5], [17, -14, -16, -2], [-5, 20, 19, -11]]))
+
+
+def _ref_screen(memo, squares):
+    """The screen that decided every key at the generic point as well as
+    at each prime of its entries."""
+    local = [{None: f, **ps} for f, ps in zip(memo.free, memo.local)]
+    mods, seen = memo.mods, {}
+    bad = set()
+    for k in squares:
+        l0, l1, l2, l3 = map(local.__getitem__, k)
+        f0, f1, f2, f3 = l0[None], l1[None], l2[None], l3[None]
+        for p in {*l0, *l1, *l2, *l3}:
+            cap = 0 if p is None else surjections.exact_cap(p)
+            key = (cap, l0.get(p, f0), l1.get(p, f1), l2.get(p, f2), l3.get(p, f3))
+            ok = seen.get(key)
+            if ok is None:
+                ok = seen[key] = surjections.square_screen(cap, *map(mods.__getitem__, key[1:]))
+            if not ok:
+                bad.add(k)
+                break
+    return bad
+
+
+def test_screen_matches_the_screen_with_the_generic_point():
+    # realized, prime-power, perturbed and equal tables, one whose squares
+    # fall short of summand supply, their free parts, and every rank
+    # table of ranks 0..2 on 3 labels, through one memo
+    def free_parts(table):
+        return tuple(FgAbGroup(g.rank) for g in table)
+
+    tables = [t for _, t in gathering_tables()] + [SHORT_SUPPLY.table]
+    tables += [free_parts(t) for t in tables]
+    tables += [tuple(map(FgAbGroup, ranks)) for ranks in itertools.product(range(3), repeat=8)]
+    memo = matroids._Memo()
+    rejected = 0
+    for table in tables:
+        e = len(table).bit_length() - 1
+        code = memo.number(ZMatroid(tuple("abcdefghij"[:e]), table))
+        t = max(e - 5, min(e, 3))
+        top = memo.tree(code, t)
+        memo.done = [set() for _ in memo.done]
+        keys = set().union(*(memo.block_keys(top, t, e, j, []) for j in range(len(top))))
+        bad = memo.screen(keys)
+        assert bad == _ref_screen(memo, keys)
+        rejected += bool(bad)
+    assert rejected > len(tables) // 2
+
+
 def test_edited_copies_through_one_memo():
     # a base table and 54 one-entry edits, each scanned twice through one
     # memo: the second scan of a rejected copy finds its failing block's
@@ -809,9 +862,7 @@ def test_ok_table_whose_squares_reach_the_witness_search(monkeypatch):
                         lambda *a: found.append(search(*a)) or found[-1])
     monkeypatch.setattr(matroids, "_memo", matroids._Memo())
     surjections.check_square.cache_clear()
-    m = from_realization(Realization(
-        ("a", "b", "c", "d"), [[243, 0, 0], [0, 27, 0], [0, 0, 9]],
-        [[-15, 15, 13, -5], [17, -14, -16, -2], [-5, 20, 19, -11]]))
+    m = SHORT_SUPPLY
     assert is_matroid(ZMatroid(m.labels, m.table)).ok
     assert found and all(found)
 

@@ -29,6 +29,7 @@ from modmatroid.surjections import (
     exact_cap,
     m1_failure_dvr,
     square_failure_dvr,
+    square_screen,
 )
 
 
@@ -100,6 +101,29 @@ def test_square_tail_slope():
 def test_square_rank_drop():
     v = check_square(fg(2), fg(0), fg(2), fg(0))
     assert not v.ok and v.kind == RANK_DROP
+
+
+def test_screen_at_a_prime_implies_the_screen_at_the_generic_point():
+    # every quadruple of the 44 modules of rank <= 3 with at most three
+    # summands of total length <= 4: a pass at cap 2, 3 or 9 passes the
+    # free parts at cap 0, which is why the certifier's screen skips the
+    # generic point at keys with a prime.  An edge that fails the
+    # single-element test fails the screen, so only squares of such
+    # edges are enumerated
+    mods = [DMod(r, tuple(reversed(ex))) for r in range(4) for n in range(4)
+            for ex in combinations_with_replacement(range(1, 5), n) if sum(ex) <= 4]
+    assert len(mods) == 44
+    onto = {m: [d for d in mods if m1_failure_dvr(m, d).ok] for m in mods}
+    passes = 0
+    for n0 in mods:
+        for n1, n2 in product(onto[n0], repeat=2):
+            for n12 in onto[n1]:
+                quad = (n0, n1, n2, n12)
+                for cap in (2, 3, 9):
+                    if square_screen(cap, *quad):
+                        passes += 1
+                        assert square_screen(0, *(DMod(m.rank) for m in quad)), quad
+    assert passes == 6679
 
 
 def test_gray_zone_falses_frozen():
