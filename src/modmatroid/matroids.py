@@ -330,13 +330,16 @@ def _split(cubes: set[tuple], halves) -> set[tuple]:
     """
     out: set[tuple] = set()
     for cube in cubes:
-        pairs = list(map(halves.__getitem__, cube))
-        out.update(zip(*pairs))
-        if len(cube) < 4:
-            out.add(sum(pairs, ()))
-            if len(cube) == 1:
-                (n0, n1), = pairs
-                out.add((n0, n1, n1, n1))
+        if len(cube) == 4:
+            (w0, w1), (x0, x1), (y0, y1), (z0, z1) = (
+                halves[cube[0]], halves[cube[1]], halves[cube[2]], halves[cube[3]])
+            out.update(((w0, x0, y0, z0), (w1, x1, y1, z1)))
+        elif len(cube) == 2:
+            (x0, x1), (y0, y1) = halves[cube[0]], halves[cube[1]]
+            out.update(((x0, y0), (x1, y1), (x0, x1, y0, y1)))
+        else:
+            n0, n1 = halves[cube[0]]
+            out.update(((n0,), (n1,), (n0, n1), (n0, n1, n1, n1)))
     return out
 
 

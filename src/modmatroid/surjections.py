@@ -26,8 +26,10 @@ need not exist.  The full decision therefore runs in three stages:
    an ambient automorphism, the image of any valid y in N0/(x) has a
    forced height profile, and every realization of that profile is a
    unit-and-lift twist of finitely many canonical ones.  Each candidate
-   is verified by direct integer quotient computation, once per element
-   of N0 it reduces to, so a hit is always genuine.  Exhaustive pair
+   is verified by direct integer quotient computation, so a hit is
+   always genuine: N0/(y) once per valuation profile of y (scaling a
+   summand by a unit is an automorphism of N0), N0/(x, y) once per
+   element of N0 that y reduces to.  Exhaustive pair
    search settles a miss up to _ORACLE_ORDER, the order of N0's p-part
    (no-pair); past it a miss is no-witness-pair, which proves nothing.
 
@@ -209,6 +211,18 @@ def _unit_reps(p: int) -> list[int]:
     return [u for u in range(1, p**b) if u % p]
 
 
+def _valuation_profile(y: tuple[int, ...], exps: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """v_p(y_j) for each coordinate of an element y of N0 = (+) Z/p^e_j,
+    each y_j reduced mod p^e_j, and e_j where y_j = 0.
+
+    Scaling each summand by a unit is an automorphism of N0 that takes y
+    to the representative (p^v_j), so N0/(y) depends on y only through
+    its profile.  Coordinates keep their order: the summand each
+    valuation sits in matters.
+    """
+    return tuple(pval(v, p) if v else e for v, e in zip(y, exps))
+
+
 def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     """Decide a gray-zone square by enumerating verified element pairs.
 
@@ -226,10 +240,12 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     checked to be N1, x and the carriers always exist, so a miss comes
     only from the candidate loop.  Both quotients of a candidate y
     depend only on its element of N0 (each coordinate mod p^e_j), so
-    each element is tested once per search and the cost is bounded by
-    the elements met, not by the integer candidates; the candidate
-    order, the count against _SEARCH_GUARD and the first success are
-    those of the plain loop.
+    each element is tested once per search.  The first, N0/(y), depends
+    only on y's valuation profile (``_valuation_profile``), since a unit
+    on each summand is an automorphism of N0, so it is computed once per
+    profile: a few normal forms per search instead of one per element
+    met.  The candidate order, the count against _SEARCH_GUARD and the
+    first success are those of the plain loop.
     """
     top = _nmax(n0, n1, n2, n12)
     phi_runs = _runs(n0, n1, top)
@@ -287,9 +303,11 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
             a_opts.append(p**s * u)
             a_opts.append(-(p**s) * u)
 
-    # elements of N0 already found wanting; a success returns at once
+    # elements of N0 already found wanting, and whether N0/(y) is N2 per
+    # valuation profile of y; a success returns at once
     mods = [p**e for e in exps]
     failed: set[tuple[int, ...]] = set()
+    gives_n2: dict[tuple[int, ...], bool] = {}
     tried = 0
     for idxs in product(*carrier_sets):
         carriers = [gens[gi] for gi in idxs]
@@ -311,8 +329,10 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
                 if key in failed:
                     continue
                 y = list(key)
-                if (_local_cokernel(rel + [y], p) == n2
-                        and _local_cokernel(rel + [x, y], p) == n12):
+                profile = _valuation_profile(key, exps, p)
+                if profile not in gives_n2:
+                    gives_n2[profile] = _local_cokernel(rel + [y], p) == n2
+                if gives_n2[profile] and _local_cokernel(rel + [x, y], p) == n12:
                     return True
                 failed.add(key)
     return False

@@ -244,10 +244,10 @@ def flag_pluecker_scan(
                         break
                 else:
                     if sink is not None:
-                        tail = f" MIN {format_height(lo)} COUNT "
+                        min_count = f" MIN {format_height(lo)} COUNT "
                         for ae_size in range(1, size[a_only] + 1):
+                            tail = f"{min_count}{math.comb(swap + 1, ae_size)}"
                             ends = [f"|{names[b_mask ^ be_mask]}|{names[be_mask]}{tail}"
-                                    f"{math.comb(swap + 1, ae_size)}"
                                     for be_mask in subs[b_only][swap + 1 - ae_size]]
                             for ae_mask in subs[a_only][ae_size]:
                                 head = f"RELATION {names[a_mask ^ ae_mask]}|{names[ae_mask]}"

@@ -23,6 +23,7 @@ from modmatroid.surjections import (
     _runs,
     _unit_reps,
     _unsupplied,
+    _valuation_profile,
     _witness_search,
     check_m1,
     check_square,
@@ -601,6 +602,56 @@ def test_witness_search_decides_each_class_once(stage3_squares, monkeypatch):
 
         monkeypatch.setattr(surjections, "_local_cokernel", recording)
         _witness_search(*quad, p)
+
+
+def test_quotient_by_an_element_depends_on_its_valuation_profile_only():
+    # every nonzero element of every p-group up to order 64, 81 and 25 at
+    # p = 2, 3, 5 against the profile's representative (p^v_j)
+    elements = 0
+    for p, most in ((2, 64), (3, 81), (5, 25)):
+        for g in abelian_p_groups(p, most):
+            exps = localize(g, p).exps
+            if not exps:
+                continue
+            rel = [[p**exps[i] if i == j else 0 for j in range(len(exps))]
+                   for i in range(len(exps))]
+            for y in product(*(range(p**e) for e in exps)):
+                rep = [p**v for v in _valuation_profile(y, exps, p)]
+                assert _local_cokernel(rel + [list(y)], p) == _local_cokernel(
+                    rel + [rep], p), (exps, p, y)
+                elements += 1
+    assert elements == 1604
+
+
+def test_witness_search_asks_one_quotient_by_y_per_profile(stage3_squares, monkeypatch):
+    # x's check comes first; every later one-extra-row cokernel is N0/(y),
+    # asked exactly once for each profile of the elements met
+    asked, met = [], set()
+
+    def recording(rows, prime):
+        if len(rows) == len(rows[0]) + 1:
+            asked.append(tuple(rows[-1]))
+        return _local_cokernel(rows, prime)
+
+    def profiling(y, exps, prime):
+        met.add(_valuation_profile(y, exps, prime))
+        return _valuation_profile(y, exps, prime)
+
+    monkeypatch.setattr(surjections, "_local_cokernel", recording)
+    monkeypatch.setattr(surjections, "_valuation_profile", profiling)
+    for quad, p in stage3_squares:
+        asked.clear()
+        met.clear()
+        exps = quad[0].exps
+        _answer(_witness_search, quad, p)
+        profiles = [_valuation_profile(y, exps, p) for y in asked[1:]]
+        assert len(profiles) == len(set(profiles)) and set(profiles) == met, (quad, p)
+    # on KNOWN: x's check and 11 profiles, 13 normal forms in all with the
+    # one that gives N0/(x) its basis, against 1,026 when N0/(y) was asked
+    # once per element
+    asked.clear()
+    _witness_search(*KNOWN, 2)
+    assert len(asked) == 12
 
 
 def test_witness_search_agrees_with_exhaustive_search():
