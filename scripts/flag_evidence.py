@@ -23,7 +23,7 @@ from modmatroid.matroids import (
     matroid_support_primes,
     random_realization,
 )
-from modmatroid.tropical import flag_pluecker_scan, heights
+from modmatroid.tropical import FLAG_SCAN_MAX_LABELS, flag_pluecker_scan, heights
 
 
 def parse_horizons(text: str):
@@ -37,11 +37,23 @@ def parse_horizons(text: str):
     return out
 
 
+def int_in(lo: int, hi: int | None = None):
+    """An argparse type: an integer of at least lo, and at most hi if given."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < lo or hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(
+                f"{n} is not at least {lo}" if hi is None else f"{n} is not from {lo} to {hi}")
+        return n
+    return integer
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--count", type=int, default=100)
+    ap.add_argument("--count", type=int_in(1), default=100)
     ap.add_argument("--seed", type=int, default=20260813)
-    ap.add_argument("--max-labels", type=int, default=5, help="flag scan is capped at 8")
+    ap.add_argument("--max-labels", type=int_in(1, FLAG_SCAN_MAX_LABELS), default=5,
+                    help=f"flag scan is capped at {FLAG_SCAN_MAX_LABELS}")
     ap.add_argument("--horizons", type=parse_horizons, default="1,2,3,INF")
     ap.add_argument("--log", default=None, metavar="FILE", help="write every relation line")
     args = ap.parse_args()

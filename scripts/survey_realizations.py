@@ -19,6 +19,7 @@ import random
 from collections import Counter
 
 from modmatroid.matroids import (
+    MAX_GROUND,
     essentialize,
     from_realization,
     is_matroid,
@@ -29,13 +30,24 @@ from modmatroid.qam import check_axioms, to_qam
 from modmatroid.tutte import tutte_class
 
 
+def int_in(lo: int, hi: int | None = None):
+    """An argparse type: an integer of at least lo, and at most hi if given."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < lo or hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(
+                f"{n} is not at least {lo}" if hi is None else f"{n} is not from {lo} to {hi}")
+        return n
+    return integer
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--count", type=int, default=200)
+    ap.add_argument("--count", type=int_in(1), default=200)
     ap.add_argument("--seed", type=int, default=20260813)
-    ap.add_argument("--max-dim", type=int, default=4)
-    ap.add_argument("--max-labels", type=int, default=6)
-    ap.add_argument("--max-entry", type=int, default=9)
+    ap.add_argument("--max-dim", type=int_in(1), default=4)
+    ap.add_argument("--max-labels", type=int_in(1, MAX_GROUND), default=6)
+    ap.add_argument("--max-entry", type=int_in(0), default=9)
     args = ap.parse_args()
 
     rng = random.Random(args.seed)

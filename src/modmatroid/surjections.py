@@ -43,6 +43,14 @@ the sequence conditions alone: a module presented as (rank, exponents)
 does not pin down a residue field, and the sequence conditions are the
 residue-independent part of the answer.
 
+Stages 2 and 3 read the drop sequences off exponent multiplicities.
+Over a DVR a module is its free rank plus the multiset of exponents e of
+its summands R/m^e, and d_i - d_{i+1} counts its summands of exponent i.
+So for two modules of equal rank where every drop d_i(hi) - d_i(lo) is
+0 or 1 (the multiplicity rule), a block of ones in the drop ends at i
+exactly where hi has one more summand of exponent i than lo, and the
+next block starts where hi has one fewer.
+
 Stages 2 and 3 refine the sequence conditions only where the four free
 ranks agree and the exponents at the prime stay within _EXACT_CAPS, the
 range where the canonical witness family has been checked exhaustively
@@ -77,7 +85,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from .abgroups import INF, DMod, FgAbGroup, cokernel, d_seq, localize, pval, support_primes
+from .abgroups import DMod, FgAbGroup, cokernel, d_seq, localize, pval, support_primes
 from .intmat import Record, setfield, smith_normal_form, transpose
 from .oracle import pushout_oracle
 
@@ -170,27 +178,27 @@ def square_failure_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> SquareVerdict
     return _OK
 
 
-def _runs(hi: DMod, lo: DMod, top: int) -> list[tuple[int, int | float]]:
-    """Maximal blocks of ones in the drop d_i(hi) - d_i(lo), i = 1..top+1,
-    as [start, end) windows, 0-based.
+def _blocks(hi: DMod, lo: DMod) -> list[tuple[int, int]]:
+    """End and offset of each block of ones in the drop d_i(hi) - d_i(lo),
+    ascending, for equal ranks with every drop 0 or 1.
 
-    ``top`` is at least every exponent of hi and lo, so the drop at
-    i = top+1 is the rank drop, constant from there on: a block still
-    open there never closes, and its end is INF.  When every drop is 0
-    or 1, the finite ends are the descents, where a block of ones closes.
+    Ends and starts come from the multiplicity rule (module docstring);
+    a start i is 0-based, so d_{i+1} is the block's first drop, and the
+    first block starts at 0 when hi has more summands, as d_1 then
+    drops.  The offset is the start minus the lengths of the earlier
+    blocks; blocks are separated by zeros, so each offset is at least 1
+    more than the one before.
     """
-    runs: list[tuple[int, int | float]] = []
-    start = None
-    for i, (a, b) in enumerate(zip(d_seq(hi, top + 1), d_seq(lo, top + 1))):
-        if a - b != 1:
-            if start is not None:
-                runs.append((start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        runs.append((start, INF))
-    return runs
+    diff = Counter(hi.exps)
+    diff.subtract(lo.exps)
+    ends = sorted(i for i, c in diff.items() if c == 1)
+    starts = [0] * (len(hi.exps) > len(lo.exps)) + sorted(i for i, c in diff.items() if c == -1)
+    blocks = []
+    t = 0
+    for s, e in zip(starts, ends):
+        blocks.append((e, s - t))
+        t += e - s
+    return blocks
 
 
 def _local_cokernel(rows: list[list[int]], p: int) -> DMod:
@@ -230,44 +238,39 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     of an equal-rank square) that pass the sequence conditions.  The
     element x with N0/(x) = N1 is canonical up to an ambient
     automorphism: one summand of exponent equal to the end of each block
-    of the drop sequence, with offsets forced by the block starts.  Any
+    of the drop sequence, with offsets forced by the block starts, both
+    read by the multiplicity rule (module docstring, ``_blocks``).  Any
     partner y reduces to a*x - w where w runs over one carrier summand
     of N0/(rel, x) per block of the N1 -> N12 drop sequence, again with
     forced offsets, twisted by unit classes on carriers that interact
-    with x.  Every candidate pair is checked by recomputing all three
+    with x.  Every candidate pair is checked by computing all three
     quotients, so True is unconditional; False means no candidate in
-    the enumerated family worked.  Once stage 1 has passed and N0/(x) is
-    checked to be N1, x and the carriers always exist, so a miss comes
-    only from the candidate loop.  Both quotients of a candidate y
-    depend only on its element of N0 (each coordinate mod p^e_j), so
-    each element is tested once per search.  The first, N0/(y), depends
-    only on y's valuation profile (``_valuation_profile``), since a unit
-    on each summand is an automorphism of N0, so it is computed once per
-    profile: a few normal forms per search instead of one per element
-    met.  The candidate order, the count against _SEARCH_GUARD and the
-    first success are those of the plain loop.
+    the enumerated family worked.  N0/(x) is read off the normal form
+    that gives N0/(rel, x) its basis.  Once stage 1 has passed and
+    N0/(x) is checked to be N1, x and the carriers always exist, so a
+    miss comes only from the candidate loop.  Both quotients of a
+    candidate y depend only on its element of N0 (each coordinate mod
+    p^e_j), so each element is tested once per search.  The first,
+    N0/(y), depends only on y's valuation profile
+    (``_valuation_profile``), since a unit on each summand is an
+    automorphism of N0, so it is computed once per profile: a few normal
+    forms per search instead of one per element met.  The candidate
+    order, the count against _SEARCH_GUARD and the first success are
+    those of the plain loop.
     """
-    top = _nmax(n0, n1, n2, n12)
-    phi_runs = _runs(n0, n1, top)
-    psi_prime_runs = _runs(n1, n12, top)
-
     exps = n0.exps
     n = len(exps)
     rel = [[p ** exps[j] if i == j else 0 for j in range(n)] for i in range(n)]
 
-    # canonical x: one exact-exponent summand per block, offsets forced
-    # by the block starts.  A block ending at e leaves N0 with one more
-    # summand of exponent e than N1, and different blocks end at
-    # different exponents, so each block finds its own summand
+    # canonical x: one exact-exponent summand per block of the N0 -> N1
+    # drop, at the block's offset.  Each block end is an exponent where
+    # N0 has one more summand than N1, so each block finds its own summand
     x = [0] * n
-    t = 0
-    for s, e in phi_runs:
-        x[exps.index(e)] = p ** (s - t)
-        t += e - s
-    if _local_cokernel(rel + [x], p) != n1:
-        raise RuntimeError("canonical element does not give the stated quotient")
+    for e, c in _blocks(n0, n1):
+        x[exps.index(e)] = p**c
 
-    # basis of N0/(rel, x): columns of U^-1 with orders from the SNF
+    # basis of N0/(rel, x): columns of U^-1 with orders from the SNF,
+    # whose exponents give N0/(x) itself
     snf = smith_normal_form(transpose(rel + [x]), ("uinv",))
     uinv = snf.uinv
     gens: list[tuple[int, list[int]]] = []
@@ -277,28 +280,23 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
             raise RuntimeError("foreign torsion in canonical quotient")
         if e:
             gens.append((e, [uinv[r][i] for r in range(n)]))
+    if DMod(0, tuple(e for e, _ in reversed(gens))) != n1:
+        raise RuntimeError("canonical element does not give the stated quotient")
 
     def untouched(vec: list[int]) -> bool:
         nz = [j for j in range(n) if vec[j]]
         return len(nz) == 1 and abs(vec[nz[0]]) == 1 and not x[nz[0]]
 
-    # per block of the psi' profile, carriers of exponent equal to the
-    # block end and the offset forced by the block start.  N0/(x) is N1,
-    # so it has a generator of every block end; the blocks are disjoint
-    # and separated, so the offset is at least 1 after the first; and
-    # carriers of different blocks differ in exponent, so no choice of
-    # carriers repeats one
-    carrier_sets: list[list[int]] = []
-    coefs: list[int] = []
-    t = 0
-    for s, e in psi_prime_runs:
-        carrier_sets.append([gi for gi, (eg, _) in enumerate(gens) if eg == e])
-        coefs.append(s - t)
-        t += e - s
+    # per block of the N1 -> N12 drop, carriers of exponent equal to the
+    # block end, at the block's offset.  N0/(x) is N1, so it has a
+    # generator of every block end; and carriers of different blocks
+    # differ in exponent, so no choice of carriers repeats one
+    blocks = _blocks(n1, n12)
+    carrier_sets = [[gi for gi, (eg, _) in enumerate(gens) if eg == e] for e, _ in blocks]
 
     unit_reps = _unit_reps(p)
     a_opts = [0]
-    for s in range(top + 1):
+    for s in range(_nmax(n0) + 1):
         for u in unit_reps:
             a_opts.append(p**s * u)
             a_opts.append(-(p**s) * u)
@@ -314,7 +312,7 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
         unit_sets = [[1] if untouched(vec) else unit_reps for (_, vec) in carriers]
         for units in product(*unit_sets):
             w = [0] * n
-            for c, u, (_, vec) in zip(coefs, units, carriers):
+            for (_, c), u, (_, vec) in zip(blocks, units, carriers):
                 pc = p**c * u
                 for r in range(n):
                     w[r] += pc * vec[r]
@@ -361,9 +359,11 @@ def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list[int]:
     Building a square from the sequence conditions consumes, at every
     index i where the drop sequences of both N1 -> N12 and N2 -> N12
     close a block, one summand of N0 of exponent exactly i beyond those
-    consumed at i by the maps out of N0.  Returns every index where that
-    supply falls short, ascending; an empty list means the construction
-    goes through and the square exists.  Only quadruples whose four
+    consumed at i by the maps out of N0.  Each edge's block ends are
+    read by the multiplicity rule (module docstring) from one Counter of
+    exponents per module.  Returns every index where that supply falls
+    short, ascending; an empty list means the construction goes through
+    and the square exists.  Only quadruples whose four
     ranks agree and whose exponents stay within ``cap`` are audited: a
     common rank adds the same to every d_i, so the audit is that of the
     torsion parts.  Where a rank drops, or an exponent passes the cap,
@@ -371,17 +371,16 @@ def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list[int]:
     """
     if n0.rank != n12.rank or max(m.max_exp for m in (n0, n1, n2, n12)) > cap:
         return []
-    top = _nmax(n0, n1, n2, n12)
+    c0, c1, c2, c12 = (Counter(m.exps) for m in (n0, n1, n2, n12))
 
-    def descents(hi: DMod, lo: DMod) -> set[int]:
+    def descents(hi: Counter, lo: Counter) -> set[int]:
         # stage 1 passed and the ranks agree, so every drop is 0 or 1 and
-        # every block closes: its end is a descent
-        return {e for _, e in _runs(hi, lo, top)}
+        # the multiplicity rule applies
+        return {i for i in hi if hi[i] - lo[i] == 1}
 
-    upper = descents(n0, n1) | descents(n0, n2)
-    mult = Counter(n0.exps)
-    return [i for i in sorted(descents(n1, n12) & descents(n2, n12))
-            if mult[i] < 1 + (i in upper)]
+    upper = descents(c0, c1) | descents(c0, c2)
+    return [i for i in sorted(descents(c1, c12) & descents(c2, c12))
+            if c0[i] < 1 + (i in upper)]
 
 
 def square_screen(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> bool:

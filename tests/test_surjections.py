@@ -18,9 +18,9 @@ from modmatroid.surjections import (
     NO_PAIR,
     NO_WITNESS,
     RANK_DROP,
+    _blocks,
     _local_cokernel,
     _nmax,
-    _runs,
     _unit_reps,
     _unsupplied,
     _valuation_profile,
@@ -344,9 +344,9 @@ def test_square_failure_matches_the_reference():
     assert sum(kinds.values()) == 4236 and kinds[L2B] and kinds[L2A]
 
 
-# The drop-sequence helpers as they were before _runs read the two modules
-# directly, kept verbatim (but for the names) as oracles for _runs and
-# for _reference_witness_search.
+# The drop-sequence helpers from before the blocks were read off exponent
+# multiplicities, kept verbatim (but for the names) as oracles for _blocks,
+# _unsupplied and _reference_witness_search.
 def _ref_deltas(hi: DMod, lo: DMod, top: int) -> list[int]:
     """Entrywise d-sequence drop d_i(hi) - d_i(lo) for i = 1..top+1."""
     return [a - b for a, b in zip(d_seq(hi, top + 1), d_seq(lo, top + 1))]
@@ -381,22 +381,77 @@ def _ref_runs(delta: list[int], tail: int) -> list[tuple[int, int | float]]:
     return runs
 
 
-def test_runs_match_the_drop_sequence_reference():
-    # on every pair of the 105-module grid, at the pair's own horizon and
-    # beyond it; the finite ends are the descents when every drop is 0 or 1
+def _ref_blocks(delta: list[int]) -> list[tuple[int, int]]:
+    """End and offset of each block of a drop sequence that ends in 0, the
+    offsets by the running sum of the earlier block lengths."""
+    out = []
+    t = 0
+    for s, e in _ref_runs(delta, 0):
+        out.append((e, s - t))
+        t += e - s
+    return out
+
+
+def test_blocks_match_the_drop_sequence_reference():
+    # on every pair of the 105-module grid in the domain of _blocks: equal
+    # ranks and every drop 0 or 1.  The ends are the descents
     mods = [DMod(r, exps) for r in range(3) for k in range(4)
             for exps in combinations_with_replacement(range(4, 0, -1), k)]
     assert len(mods) == 105
-    unit_drops = 0
+    pairs = 0
     for hi, lo in product(mods, repeat=2):
-        for top in (_nmax(hi, lo), _nmax(hi, lo) + 2):
-            delta = _ref_deltas(hi, lo, top)
-            runs = _runs(hi, lo, top)
-            assert runs == _ref_runs(delta, hi.rank - lo.rank), (hi, lo, top)
-            if set(delta) <= {0, 1}:
-                unit_drops += 1
-                assert {e for _, e in runs if e is not INF} == _ref_descents(delta), (hi, lo)
-    assert unit_drops == 2100
+        delta = _ref_deltas(hi, lo, _nmax(hi, lo))
+        if hi.rank == lo.rank and set(delta) <= {0, 1}:
+            blocks = _blocks(hi, lo)
+            assert blocks == _ref_blocks(delta), (hi, lo)
+            # the multiplicity differences are -1, 0 or 1 here, so no
+            # difference above 1 can be read as a block end
+            diff = Counter(hi.exps)
+            diff.subtract(lo.exps)
+            assert set(diff.values()) <= {-1, 0, 1}, (hi, lo)
+            assert {e for e, _ in blocks} == _ref_descents(delta), (hi, lo)
+            pairs += 1
+    assert pairs == 630
+
+
+def _ref_unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list[int]:
+    """Stage 2 as it was on the drop sequences, verbatim but for reading
+    the blocks through _ref_runs."""
+    if n0.rank != n12.rank or max(m.max_exp for m in (n0, n1, n2, n12)) > cap:
+        return []
+    top = _nmax(n0, n1, n2, n12)
+
+    def descents(hi: DMod, lo: DMod) -> set[int]:
+        # stage 1 passed and the ranks agree, so every drop is 0 or 1 and
+        # every block closes: its end is a descent
+        return {e for _, e in _ref_runs(_ref_deltas(hi, lo, top), hi.rank - lo.rank)}
+
+    upper = descents(n0, n1) | descents(n0, n2)
+    mult = Counter(n0.exps)
+    return [i for i in sorted(descents(n1, n12) & descents(n2, n12))
+            if mult[i] < 1 + (i in upper)]
+
+
+def test_unsupplied_matches_the_drop_sequence_reference():
+    # every quadruple of cyclic-kernel edges that passes stage 1, over the
+    # 112 modules of rank <= 1 with at most three exponents up to 5, at
+    # caps below, within and past the exponents
+    mods = [DMod(r, exps) for r in range(2) for k in range(4)
+            for exps in combinations_with_replacement(range(5, 0, -1), k)]
+    assert len(mods) == 112
+    onto = {m: [d for d in mods if m1_failure_dvr(m, d).ok] for m in mods}
+    quads = short = 0
+    for n0 in mods:
+        for n1, n2 in product(onto[n0], repeat=2):
+            for n12 in onto[n1]:
+                if n12 not in onto[n2] or not square_failure_dvr(n0, n1, n2, n12).ok:
+                    continue
+                quads += 1
+                for cap in (0, 2, 3, 9):
+                    got = _unsupplied(cap, n0, n1, n2, n12)
+                    assert got == _ref_unsupplied(cap, n0, n1, n2, n12), (cap, n0, n1, n2, n12)
+                    short += bool(got)
+    assert (quads, short) == (31842, 442)
 
 
 def _reference_witness_search(n0, n1, n2, n12, p):
@@ -624,8 +679,8 @@ def test_quotient_by_an_element_depends_on_its_valuation_profile_only():
 
 
 def test_witness_search_asks_one_quotient_by_y_per_profile(stage3_squares, monkeypatch):
-    # x's check comes first; every later one-extra-row cokernel is N0/(y),
-    # asked exactly once for each profile of the elements met
+    # every one-extra-row cokernel is N0/(y), asked exactly once for each
+    # profile of the elements met
     asked, met = [], set()
 
     def recording(rows, prime):
@@ -644,14 +699,13 @@ def test_witness_search_asks_one_quotient_by_y_per_profile(stage3_squares, monke
         met.clear()
         exps = quad[0].exps
         _answer(_witness_search, quad, p)
-        profiles = [_valuation_profile(y, exps, p) for y in asked[1:]]
+        profiles = [_valuation_profile(y, exps, p) for y in asked]
         assert len(profiles) == len(set(profiles)) and set(profiles) == met, (quad, p)
-    # on KNOWN: x's check and 11 profiles, 13 normal forms in all with the
-    # one that gives N0/(x) its basis, against 1,026 when N0/(y) was asked
-    # once per element
+    # on KNOWN: 11 profiles, 12 normal forms in all with the one that gives
+    # N0/(x) and its basis
     asked.clear()
     _witness_search(*KNOWN, 2)
-    assert len(asked) == 12
+    assert len(asked) == 11
 
 
 def test_witness_search_agrees_with_exhaustive_search():
