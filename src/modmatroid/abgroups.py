@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable
 
-from .intmat import Mat, Record, setfield, shape, smith_normal_form
+from .intmat import Mat, Record, identity, setfield, shape, smith_normal_form
 
 INF = math.inf
 
@@ -165,7 +165,7 @@ def canonicalize(orders: Iterable[int], rank: int = 0) -> FgAbGroup:
 def cokernel(relations: Mat) -> FgAbGroup:
     """Quotient of Z^n by the column span of an n-row relation matrix."""
     rows, _ = shape(relations)
-    d = smith_normal_form(relations, ()).d
+    d = smith_normal_form(relations).d
     nonzero = [x for x in d if x]
     return FgAbGroup(rows - len(nonzero), tuple(x for x in nonzero if x > 1))
 
@@ -179,10 +179,12 @@ def subset_cokernels(relations: Mat, columns: list[list[int]]) -> tuple[list, li
     parent is the mask minus its highest column.  A node keeps the
     invariant diagonal d of its cokernel and a row transform U mapping
     Z^n onto Z^r / diag(d), so a child adding column v needs only the
-    normal form of the r x (<= r+1) matrix [diag(d) | U v].  Rows with
-    d_i = 1 are dropped and row i of U is reduced mod d_i where d_i !=
-    0, which bounds entry growth; neither changes the map into the
-    quotient.  Two rules fill most of the table without a normal form:
+    normal form of the r x (<= r+1) matrix [diag(d) | U v]; the node's U
+    rides in it as the row block, so the child's U comes out of that
+    normal form with no product after it.  Rows with d_i = 1 are dropped
+    and row i of U is reduced mod d_i where d_i != 0, which bounds entry
+    growth; neither changes the map into the quotient.  Two rules fill
+    most of the table without a normal form:
 
     - A node walks its columns from the highest down.  When U v_j is 0
       modulo d, v_j already lies in the node's lattice, so adding it to
@@ -245,15 +247,12 @@ def subset_cokernels(relations: Mat, columns: list[list[int]]) -> tuple[list, li
                 continue
             leaf = j + 1 == e
             mat = [[d[i] if i == k else 0 for k in range(t)] + [w[i]] for i in range(len(d))]
-            s = smith_normal_form(mat, () if leaf else ("u",))
-            moved = None if leaf else [
-                [sum(map(mul, srow, ucol)) for ucol in zip(*u)] for srow in s.u
-            ]
-            table[child], d2, u2 = node(s.d, moved, len(d))
+            s = smith_normal_form(mat, None if leaf else u)
+            table[child], d2, u2 = node(s.d, s.u, len(d))
             if not leaf:
                 descend(child, j + 1, d2, u2)
 
-    root = smith_normal_form(relations, ("u",))
+    root = smith_normal_form(relations, identity(n))
     table[0], d0, u0 = node(root.d, root.u, n)
     descend(0, 0, d0, u0)
     return [FgAbGroup(dl.count(0), tuple(x for x in dl if x)) for dl in numbers], table

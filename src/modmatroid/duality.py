@@ -13,6 +13,8 @@ of standard basis vectors sitting over the old generators.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .abgroups import FgAbGroup
 from .intmat import (
     Mat,
@@ -47,15 +49,17 @@ def _independent_relations(relations: Mat) -> Mat:
     ambient, so they are replaced by a basis of their column span; columns
     that are already independent pass through unchanged.
     """
-    n, m_cols = shape(relations)
+    _, m_cols = shape(relations)
     if m_cols == 0:
         return relations
-    s = smith_normal_form(relations, ("uinv",))
+    s = smith_normal_form(relations, v=True)
     rank = sum(1 for x in s.d if x)
     if rank == m_cols:
         return relations
-    uinv = s.uinv
-    return [[s.d[j] * uinv[i][j] for j in range(rank)] for i in range(n)]
+    # U M V = D: the first rank columns of M V are d_j times columns of
+    # U^-1, a basis of the column span
+    basis = transpose(s.v)[:rank]
+    return [[sum(map(mul, row, col)) for col in basis] for row in relations]
 
 
 def gale_dual(r: Realization) -> Realization:

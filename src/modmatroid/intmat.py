@@ -1,10 +1,11 @@
 """Exact integer matrices and Smith normal form.
 
 Matrices are dense row-major lists of Python ints, so every operation is
-arbitrary precision.  The normal form records the unimodular transforms
-a caller asks for (either side, and the inverse of the row side); the
-rest of the package reads quotient groups off the invariant diagonal and
-bases of quotients off ``uinv``.
+arbitrary precision.  The normal form carries the transforms a caller
+asks for in its working matrix, so the moves act on them as they act on
+the input; the rest of the package reads quotient groups off the
+invariant diagonal and bases of quotients off ``m @ v``, whose column i
+is d_i times column i of the inverse row transform.
 """
 
 from __future__ import annotations
@@ -112,46 +113,42 @@ class SnfResult(Record):
     """Invariant diagonal ``d`` with ``u @ input @ v == diag(d)``.
 
     ``d`` has length min(rows, cols); each entry is nonnegative and divides
-    the next nonzero one.  ``u`` and ``v`` are unimodular and ``uinv`` is
-    the inverse of ``u``; a transform that was not tracked is None.
+    the next nonzero one.  ``v`` is unimodular, or None when not asked
+    for.  ``u`` is the row block the caller passed, after the row moves:
+    U itself for an identity block, U @ B for a block B, None for none.
     """
 
-    __slots__ = ("d", "u", "v", "uinv")
+    __slots__ = ("d", "u", "v")
 
-    def __init__(self, d: tuple[int, ...], u: Mat | None, v: Mat | None, uinv: Mat | None):
+    def __init__(self, d: tuple[int, ...], u: Mat | None, v: Mat | None):
         setfield(self, "d", d)
         setfield(self, "u", u)
         setfield(self, "v", v)
-        setfield(self, "uinv", uinv)
 
 
-TRANSFORMS = ("u", "v", "uinv")
-
-
-def smith_normal_form(m: Mat, track: tuple[str, ...] = ("u", "v")) -> SnfResult:
+def smith_normal_form(m: Mat, rows: Mat | None = None, v: bool = False) -> SnfResult:
     """Diagonalize an integer matrix with unimodular row and column moves.
 
     Pivoting picks the entry of minimal nonzero absolute value in the
     remaining submatrix and re-sweeps until the pivot divides everything
     below and to the right, which forces the divisibility chain.
 
-    ``track`` names the transforms to record, among ``TRANSFORMS``; the
-    moves, and so ``d`` and every recorded transform, do not depend on
-    it.  ``uinv`` mirrors each row move on ``u`` as the inverse column
-    move, so no inverse is ever computed.
+    The transforms ride in the working matrix: ``rows`` (one row per row
+    of ``m``) is appended to the rows of ``m``, so every row move acts on
+    it, and for ``v`` identity rows are appended below ``m``, so every
+    column move acts on them.  The moves look at ``m``'s block only, so
+    ``d`` and both transforms do not depend on what is tracked.  With
+    ``v``, column i of m @ v is d_i times column i of U^-1.
     """
-    if not set(track) <= set(TRANSFORMS):
-        raise ValueError(f"unknown transforms {sorted(set(track) - set(TRANSFORMS))}")
-    rows, cols = shape(m)
-    a = copy_mat(m)
-    u = identity(rows) if "u" in track else None
-    v = identity(cols) if "v" in track else None
-    ui = identity(rows) if "uinv" in track else None
-    limit = min(rows, cols)
+    n, cols = shape(m)
+    a = copy_mat(m) if rows is None else [x + y for x, y in zip(m, rows, strict=True)]
+    if v:
+        a += identity(cols)
+    limit = min(n, cols)
 
     def find_pivot(t: int):
         best = None
-        for i in range(t, rows):
+        for i in range(t, n):
             ai = a[i]
             for j in range(t, cols):
                 e = ai[j]
@@ -168,37 +165,19 @@ def smith_normal_form(m: Mat, track: tuple[str, ...] = ("u", "v")) -> SnfResult:
             _, pi, pj = best
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
-                if u is not None:
-                    u[t], u[pi] = u[pi], u[t]
-                if ui is not None:
-                    for row in ui:
-                        row[t], row[pi] = row[pi], row[t]
             if pj != t:
                 for row in a:
                     row[t], row[pj] = row[pj], row[t]
-                if v is not None:
-                    for row in v:
-                        row[t], row[pj] = row[pj], row[t]
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-                if u is not None:
-                    u[t] = [-x for x in u[t]]
-                if ui is not None:
-                    for row in ui:
-                        row[t] = -row[t]
             p = a[t][t]
             at = a[t]
             dirty = False
-            for i in range(t + 1, rows):
+            for i in range(t + 1, n):
                 if a[i][t]:
                     q = a[i][t] // p
                     if q:
                         a[i] = [x - q * y for x, y in zip(a[i], at)]
-                        if u is not None:
-                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                        if ui is not None:
-                            for row in ui:
-                                row[t] += q * row[i]
                     if a[i][t]:
                         dirty = True
             for j in range(t + 1, cols):
@@ -207,9 +186,6 @@ def smith_normal_form(m: Mat, track: tuple[str, ...] = ("u", "v")) -> SnfResult:
                     if q:
                         for row in a:
                             row[j] -= q * row[t]
-                        if v is not None:
-                            for row in v:
-                                row[j] -= q * row[t]
                     if at[j]:
                         dirty = True
             if dirty:
@@ -217,7 +193,7 @@ def smith_normal_form(m: Mat, track: tuple[str, ...] = ("u", "v")) -> SnfResult:
                 best = find_pivot(t)
                 continue
             stray = None
-            for i in range(t + 1, rows):
+            for i in range(t + 1, n):
                 ai = a[i]
                 for j in range(t + 1, cols):
                     if ai[j] % p:
@@ -230,12 +206,8 @@ def smith_normal_form(m: Mat, track: tuple[str, ...] = ("u", "v")) -> SnfResult:
             # fold the offending row into the pivot row; the next sweep
             # produces a remainder strictly smaller than the pivot
             a[t] = [x + y for x, y in zip(a[t], a[stray])]
-            if u is not None:
-                u[t] = [x + y for x, y in zip(u[t], u[stray])]
-            if ui is not None:
-                for row in ui:
-                    row[stray] -= row[t]
             best = (p, t, t)
         t += 1
     d = tuple(a[i][i] for i in range(limit))
-    return SnfResult(d, u, v, ui)
+    u = None if rows is None else [row[cols:] for row in a[:n]]
+    return SnfResult(d, u, a[n:] if v else None)

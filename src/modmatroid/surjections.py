@@ -84,6 +84,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .abgroups import DMod, FgAbGroup, cokernel, d_seq, localize, pval, support_primes
 from .intmat import Record, setfield, smith_normal_form, transpose
@@ -269,17 +270,19 @@ def _witness_search(n0: DMod, n1: DMod, n2: DMod, n12: DMod, p: int) -> bool:
     for e, c in _blocks(n0, n1):
         x[exps.index(e)] = p**c
 
-    # basis of N0/(rel, x): columns of U^-1 with orders from the SNF,
-    # whose exponents give N0/(x) itself
-    snf = smith_normal_form(transpose(rel + [x]), ("uinv",))
-    uinv = snf.uinv
+    # basis of N0/(rel, x): with U M V = D, column i of M V is d_i times
+    # column i of U^-1, whose orders come from the SNF and whose exponents
+    # give N0/(x) itself
+    mat = transpose(rel + [x])
+    snf = smith_normal_form(mat, v=True)
+    vt = transpose(snf.v)
     gens: list[tuple[int, list[int]]] = []
     for i, o in enumerate(snf.d):
         e = pval(o, p)
         if o != p**e:
             raise RuntimeError("foreign torsion in canonical quotient")
         if e:
-            gens.append((e, [uinv[r][i] for r in range(n)]))
+            gens.append((e, [sum(map(mul, row, vt[i])) // o for row in mat]))
     if DMod(0, tuple(e for e, _ in reversed(gens))) != n1:
         raise RuntimeError("canonical element does not give the stated quotient")
 

@@ -186,9 +186,7 @@ def dressian_check(h: HeightFunction, r: int) -> Verdict:
     return _exchange_check(h, r)
 
 
-def flag_pluecker_scan(
-    h: HeightFunction, sink: Callable[[str], None] | None = None
-) -> Verdict:
+def flag_pluecker_scan(h: HeightFunction, sink: Callable[[str], None]) -> Verdict:
     """Exhaustive multi-element exchange sweep; evidence, not a theorem.
 
     For each pair A, B with |A| <= |B|, each splitting A = A_f + A_e,
@@ -243,16 +241,15 @@ def flag_pluecker_scan(
                     if p[both | s] + p[both | diff ^ s] != lo:
                         break
                 else:
-                    if sink is not None:
-                        min_count = f" MIN {format_height(lo)} COUNT "
-                        for ae_size in range(1, size[a_only] + 1):
-                            tail = f"{min_count}{math.comb(swap + 1, ae_size)}"
-                            ends = [f"|{names[b_mask ^ be_mask]}|{names[be_mask]}{tail}"
-                                    for be_mask in subs[b_only][swap + 1 - ae_size]]
-                            for ae_mask in subs[a_only][ae_size]:
-                                head = f"RELATION {names[a_mask ^ ae_mask]}|{names[ae_mask]}"
-                                for end in ends:
-                                    sink(head + end)
+                    min_count = f" MIN {format_height(lo)} COUNT "
+                    for ae_size in range(1, size[a_only] + 1):
+                        tail = f"{min_count}{math.comb(swap + 1, ae_size)}"
+                        ends = [f"|{names[b_mask ^ be_mask]}|{names[be_mask]}{tail}"
+                                for be_mask in subs[b_only][swap + 1 - ae_size]]
+                        for ae_mask in subs[a_only][ae_size]:
+                            head = f"RELATION {names[a_mask ^ ae_mask]}|{names[ae_mask]}"
+                            for end in ends:
+                                sink(head + end)
                     continue
             # |A_e| + |B_e| = swap + 1; as |A \ B| <= swap, B_e is never
             # empty, and an empty A_e would leave a single term
@@ -266,13 +263,12 @@ def flag_pluecker_scan(
                         terms = [p[af_mask | s] + p[bf_mask | pot ^ s] for s in subs[pot][ae_size]]
                         lo = min(terms)
                         k = terms.count(lo)  # all-INF terms count in full: vacuous
-                        if sink is not None:
-                            # format_height(lo), inlined: this runs once per relation
-                            sink(
-                                f"RELATION {names[af_mask]}|{names[ae_mask]}"
-                                f"|{names[bf_mask]}|{names[be_mask]} "
-                                f"MIN {'INF' if lo == INF else lo} COUNT {k}"
-                            )
+                        # format_height(lo), inlined: this runs once per relation
+                        sink(
+                            f"RELATION {names[af_mask]}|{names[ae_mask]}"
+                            f"|{names[bf_mask]}|{names[be_mask]} "
+                            f"MIN {'INF' if lo == INF else lo} COUNT {k}"
+                        )
                         if k < 2:
                             bad.append(TropicalViolation(
                                 f"flag A_f={{{names[af_mask]}}} A_e={{{names[ae_mask]}}} "

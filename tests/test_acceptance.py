@@ -20,7 +20,7 @@ import pytest
 from modmatroid.abgroups import INF, FgAbGroup, TRIVIAL
 from modmatroid.cli import main
 from modmatroid.duality import dual, gale_dual
-from modmatroid.intmat import shape, smith_normal_form, det
+from modmatroid.intmat import det, identity, shape, smith_normal_form
 from modmatroid.jsonio import dumps
 from modmatroid.matroids import (
     Realization,
@@ -341,7 +341,7 @@ def test_criterion_10_snf(report):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         mat = [[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)]
-        s = smith_normal_form(mat)
+        s = smith_normal_form(mat, identity(rows), v=True)
         assert is_unimodular(s.u) and is_unimodular(s.v)
         assert matmul(matmul(s.u, mat), s.v) == diagonal(s, rows, cols)
         nonzero = [x for x in s.d if x]

@@ -13,7 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E
 
 def test_snf_frozen_values():
     assert smith_normal_form([[2, 0], [0, 3]]).d == (1, 6)
-    z = smith_normal_form([[0, 0], [0, 0]])
+    z = smith_normal_form([[0, 0], [0, 0]], identity(2), v=True)
     assert z.d == (0, 0)
     assert z.u == identity(2) and z.v == identity(2)
     assert smith_normal_form([[2, 4], [6, 8]]).d == (2, 4)
@@ -21,25 +21,49 @@ def test_snf_frozen_values():
 
 def test_snf_reconstruction_simple():
     m = [[2, 4], [6, 8]]
-    s = smith_normal_form(m)
+    s = smith_normal_form(m, identity(2), v=True)
     assert matmul(matmul(s.u, m), s.v) == diagonal(s, 2, 2)
 
 
-def test_snf_inverse_roundtrip():
-    r = random.Random(3)
-    for _ in range(200):
+def random_matrices(seed: int, count: int = 200):
+    r = random.Random(seed)
+    for _ in range(count):
         rows = r.randint(1, 6)
         cols = r.randint(1, 6)
-        m = [[r.randint(-99, 99) for _ in range(cols)] for _ in range(rows)]
-        s = smith_normal_form(m, ("u", "v", "uinv"))
-        assert matmul(s.u, s.uinv) == identity(rows)
-        assert matmul(s.uinv, s.u) == identity(rows)
-        # tracking more transforms does not change the moves
-        alone = smith_normal_form(m, ("uinv",))
-        assert alone.uinv == s.uinv and alone.u is None and alone.v is None
-        assert smith_normal_form(m).u == s.u
+        yield r, [[r.randint(-99, 99) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_snf_m_v_reads_off_u_inverse():
+    # U m V = D, so column i of m V is d_i times column i of U^-1
+    for _, m in random_matrices(3):
+        s = smith_normal_form(m, identity(len(m)), v=True)
+        uinv = sympy.Matrix(s.u).inv().tolist()
+        mv = matmul(m, s.v)
+        for i, di in enumerate(s.d):
+            if di:
+                assert [row[i] for row in mv] == [di * row[i] for row in uinv]
+
+
+def test_snf_row_block_rides_along():
+    # the row moves act on a passed block as they act on the identity
+    for r, m in random_matrices(4):
+        k = r.randint(0, 4)
+        block = [[r.randint(-99, 99) for _ in range(k)] for _ in m]
+        u = smith_normal_form(m, identity(len(m))).u
+        assert smith_normal_form(m, block).u == matmul(u, block)
     with pytest.raises(ValueError):
-        smith_normal_form([[1]], ("w",))
+        smith_normal_form([[1], [2]], [[1]])
+
+
+def test_snf_moves_do_not_depend_on_tracking():
+    for r, m in random_matrices(5):
+        s = smith_normal_form(m, identity(len(m)), v=True)
+        for rows in (None, identity(len(m))):
+            for v in (False, True):
+                t = smith_normal_form(m, rows, v)
+                assert t.d == s.d
+                assert t.u == (None if rows is None else s.u)
+                assert t.v == (s.v if v else None)
 
 
 def test_det_frozen():
@@ -63,7 +87,7 @@ matrices = st.integers(1, 5).flatmap(
 @given(matrices)
 def test_snf_properties(m):
     rows, cols = shape(m)
-    s = smith_normal_form(m)
+    s = smith_normal_form(m, identity(rows), v=True)
     assert is_unimodular(s.u) and is_unimodular(s.v)
     assert matmul(matmul(s.u, m), s.v) == diagonal(s, rows, cols)
     d = s.d
@@ -77,7 +101,7 @@ def test_snf_properties(m):
 @given(matrices)
 def test_snf_matches_sympy(m):
     d = smith_normal_form(m).d
-    assert smith_normal_form(m, ()).d == d
+    assert smith_normal_form(m, identity(len(m)), v=True).d == d
     got = [x for x in d if x != 0]
     want = [abs(int(x)) for x in sympy_snf(sympy.Matrix(m)).diagonal()]
     want = [x for x in want if x != 0]
@@ -109,7 +133,7 @@ def test_random_reconstruction_sweep():
         rows = r.randint(1, 6)
         cols = r.randint(1, 6)
         m = [[r.randint(-99, 99) for _ in range(cols)] for _ in range(rows)]
-        s = smith_normal_form(m)
+        s = smith_normal_form(m, identity(rows), v=True)
         assert matmul(matmul(s.u, m), s.v) == diagonal(s, rows, cols)
         assert is_unimodular(s.u) and is_unimodular(s.v)
 

@@ -27,9 +27,9 @@ TV = TropicalViolation("three-term", (1, 2, INF), "b")
 # print their stored fields (the distinct entries and a code per subset),
 # and for Verdict, the one report of every table-level check
 RECORDS = [
-    (SnfResult, ((1, 2), [[1, 0], [0, 1]], None, None),
-     dict(d=(1, 2), u=[[1, 0], [0, 1]], v=None, uinv=None),
-     "SnfResult(d=(1, 2), u=[[1, 0], [0, 1]], v=None, uinv=None)"),
+    (SnfResult, ((1, 2), [[1, 0], [0, 1]], None),
+     dict(d=(1, 2), u=[[1, 0], [0, 1]], v=None),
+     "SnfResult(d=(1, 2), u=[[1, 0], [0, 1]], v=None)"),
     (FgAbGroup, (1, (2, 4)), dict(rank=1, factors=(2, 4)),
      "FgAbGroup(rank=1, factors=(2, 4))"),
     (DMod, (1, (3, 1)), dict(rank=1, exps=(3, 1)), "DMod(rank=1, exps=(3, 1))"),

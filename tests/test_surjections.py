@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from modmatroid import surjections
 from modmatroid.abgroups import INF, DMod, FgAbGroup, TRIVIAL, canonicalize, d_seq, localize
-from modmatroid.intmat import smith_normal_form, transpose
+from modmatroid.intmat import identity, smith_normal_form, transpose
 from modmatroid.matroids import Realization, from_realization, subsets
 from modmatroid.oracle import abelian_p_groups, pushout_oracle
 from modmatroid.surjections import (
@@ -487,16 +487,18 @@ def _reference_witness_search(n0, n1, n2, n12, p):
     if _local_cokernel(rel + [x], p) != n1:
         raise RuntimeError("canonical element does not give the stated quotient")
 
-    # basis of N0/(rel, x): columns of U^-1 with orders from the SNF
-    snf = smith_normal_form(transpose(rel + [x]), ("uinv",))
-    uinv = snf.uinv
+    # basis of N0/(rel, x): columns of U^-1 with orders from the SNF;
+    # U^-1 is sympy's exact inverse, independent of the library's read-off
+    sympy = pytest.importorskip("sympy")
+    snf = smith_normal_form(transpose(rel + [x]), identity(n))
+    uinv = sympy.Matrix(snf.u).inv().tolist()
     orders = list(snf.d) + [0] * (n - len(snf.d))
     gens: list[tuple[int | float, list[int]]] = []
     for i in range(n):
         o = orders[i]
         if o == 1:
             continue
-        vec = [uinv[r][i] for r in range(n)]
+        vec = [int(uinv[r][i]) for r in range(n)]
         if o == 0:
             gens.append((INF, vec))
             continue

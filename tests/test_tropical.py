@@ -139,7 +139,7 @@ def test_flag_scan_cap():
     labels = tuple("abcdefghi")
     h = HeightFunction(labels, 1, (0,) * (1 << 9))
     with pytest.raises(ValueError, match="capped at 8 labels"):
-        flag_pluecker_scan(h)
+        flag_pluecker_scan(h, lambda line: None)
 
 
 def test_valuated_ok_on_verified_table():
@@ -454,7 +454,7 @@ def test_flag_scan_matches_reference():
     for h in _reference_heights():
         got, want = [], []
         verdict = flag_pluecker_scan(h, got.append)
-        assert verdict == _ref_flag_scan(h, want.append) == flag_pluecker_scan(h), h
+        assert verdict == _ref_flag_scan(h, want.append), h
         assert got == want, h
         relations += len(want)
         failing += not verdict.ok
@@ -565,7 +565,7 @@ def test_violations_name_subsets_by_document_keys(labels):
     verdicts = [three_term_check(h), single_exchange_check(h), dressian_check(h, r),
                 valuated_matroid_check(DvrMatroid(labels, tuple(table)))]
     if e <= 8:
-        verdicts.append(flag_pluecker_scan(h))
+        verdicts.append(flag_pluecker_scan(h, lambda line: None))
     assert not any(v.ok for v in verdicts)
     assert_document_keys([s for verdict in verdicts for v in verdict.violations
                           for s in _named_subsets(f"{v.relation} {v.argmin}")], labels)
