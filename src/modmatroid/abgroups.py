@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable
 
-from .intmat import Mat, Record, identity, setfield, shape, smith_normal_form
+from .intmat import Mat, Record, identity, shape, smith_normal_form
 
 INF = math.inf
 
@@ -39,8 +39,7 @@ class FgAbGroup(Record):
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
-        setfield(self, "rank", rank)
-        setfield(self, "factors", factors)
+        Record.__init__(self, rank, factors)
 
     @property
     def torsion_order(self) -> int:
@@ -286,8 +285,7 @@ class DMod(Record):
         for a, b in zip(exps, exps[1:]):
             if b > a:
                 raise ValueError("exponents must be nonincreasing")
-        setfield(self, "rank", rank)
-        setfield(self, "exps", exps)
+        Record.__init__(self, rank, exps)
 
     @property
     def length(self) -> int:

@@ -152,14 +152,18 @@ def _verified(path: str) -> ZMatroid:
     return verify(_load_matroid(path))
 
 
-def _print_tropical(verdict, limit: int = 20) -> int:
+# tropical violations printed before "... and N more"
+_TROPICAL_ROWS = 20
+
+
+def _print_tropical(verdict) -> int:
     if verdict.ok:
         print("OK")
         return 0
-    for v in verdict.violations[:limit]:
+    for v in verdict.violations[:_TROPICAL_ROWS]:
         terms = ", ".join(map(format_height, v.terms))
         print(f"violation {v.relation}: terms [{terms}], unique minimum {v.argmin}")
-    more = len(verdict.violations) - limit
+    more = len(verdict.violations) - _TROPICAL_ROWS
     if more > 0:
         print(f"... and {more} more")
     return 1

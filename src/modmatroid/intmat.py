@@ -18,19 +18,45 @@ Mat = list  # list[list[int]], row major
 class Record:
     """Base of the package's immutable records.
 
-    A subclass names its fields in ``__slots__``, after its base's, and
-    sets each one in its constructor with ``setfield``; the class keyword
-    ``compare`` names the fields that equality and the hash read (default:
-    all).  Equality is type-strict, assigning or deleting a field raises
-    AttributeError and the repr is ``Name(field=value, ...)``.  Plain
-    classes, not dataclasses: importing ``dataclasses`` costs a few ms.
+    A subclass names its fields in ``__slots__``, after its base's; the
+    class keyword ``compare`` names the fields that equality and the hash
+    read (default: all).  Construction, equality, the hash, the repr and
+    pickling all derive from the fields.  The constructor binds them in
+    order, by position or by name; a field left out takes its value from
+    the class's ``_defaults`` mapping, and a missing, unknown, repeated
+    or surplus field raises TypeError.  A record that validates its
+    fields keeps its own signature and checks, then calls
+    ``Record.__init__`` once.  Equality is type-strict, assigning or
+    deleting a field raises AttributeError and the repr is
+    ``Name(field=value, ...)``.  Plain classes, not dataclasses:
+    importing ``dataclasses`` costs a few ms.
     """
 
     __slots__ = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, compare: tuple[str, ...] | None = None):
         cls._fields = getattr(cls, "_fields", ()) + cls.__dict__.get("__slots__", ())
         cls._key = attrgetter(*(compare or cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, {len(args)} given")
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() has no field {field!r}")
+            if fields.index(field) < len(args):
+                raise TypeError(f"{name}() got field {field!r} twice")
+        for field, value in zip(fields, args):
+            setfield(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                setfield(self, field, kwargs[field])
+            elif field in self._defaults:
+                setfield(self, field, self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing field {field!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -54,7 +80,7 @@ class Record:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-setfield = object.__setattr__  # past Record.__setattr__, for __init__ only
+setfield = object.__setattr__  # past Record.__setattr__, for constructors only
 
 
 def shape(m: Mat) -> tuple[int, int]:
@@ -119,11 +145,6 @@ class SnfResult(Record):
     """
 
     __slots__ = ("d", "u", "v")
-
-    def __init__(self, d: tuple[int, ...], u: Mat | None, v: Mat | None):
-        setfield(self, "d", d)
-        setfield(self, "u", u)
-        setfield(self, "v", v)
 
 
 def smith_normal_form(m: Mat, rows: Mat | None = None, v: bool = False) -> SnfResult:

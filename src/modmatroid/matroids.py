@@ -90,6 +90,7 @@ class _Table(Record):
     entries, objects first by identity, then by value."""
 
     __slots__ = ("labels", "entries", "code")
+    __init__ = object.__init__  # __new__ binds the fields; nothing to rebind
 
     def __new__(cls, labels: tuple[str, ...], table, *flags):
         _check_ground(labels)
@@ -190,9 +191,7 @@ class Realization(Record):
             raise ValueError("one generator column per label required")
         if labels and n != nv:
             raise ValueError("relation and generator row counts differ")
-        setfield(self, "labels", labels)
-        setfield(self, "relations", relations)
-        setfield(self, "vectors", vectors)
+        Record.__init__(self, labels, relations, vectors)
 
 
 def random_realization(rng: random.Random, max_dim: int = 4, max_labels: int = 6,
@@ -213,15 +212,7 @@ def random_realization(rng: random.Random, max_dim: int = 4, max_labels: int = 6
 
 class Violation(Record):
     __slots__ = ("mask", "b", "c", "kind", "prime", "index")
-
-    def __init__(self, mask: int, b: str, c: str, kind: str,
-                 prime: int | None = None, index: int | None = None):
-        setfield(self, "mask", mask)
-        setfield(self, "b", b)
-        setfield(self, "c", c)
-        setfield(self, "kind", kind)
-        setfield(self, "prime", prime)
-        setfield(self, "index", index)
+    _defaults = {"prime": None, "index": None}
 
     @property
     def undecided(self) -> bool:
@@ -248,9 +239,7 @@ class Verdict(Record):
     most one."""
 
     __slots__ = ("violations",)
-
-    def __init__(self, violations: tuple = ()):
-        setfield(self, "violations", violations)
+    _defaults = {"violations": ()}
 
     @property
     def ok(self) -> bool:
@@ -447,18 +436,18 @@ class _Memo:
             row = list(map(ids.__getitem__, row))
         return row
 
-    def block_keys(self, top: list[int], t: int, e: int, j: int, new: list) -> set[tuple]:
+    def block_keys(self, top: list[int], t: int, e: int, j: int) -> tuple[set[tuple], list]:
         """The square keys of block j (the subsets j * 2^t + L, L < 2^t)
-        that lie under no cube in ``done``.
+        that lie under no cube in ``done``, and the cubes they lie under.
 
         The block is the cube (a) of its node, with (a, ac) and the
         degenerate (a, ac, ac, ac) for each free label c above the
         block's, and (a, ab, ac, abc) for each pair b < c of them.  They
         are split (``_split``) level by level down to the base, where
         their keys are read off the leaves.  From level 3 on, each
-        level's cubes drop those in ``done``, and the rest are added to
-        it and to ``new`` as (level, cubes): the caller removes them
-        again unless every key passes.
+        level's cubes drop those in ``done``, and the rest are returned
+        as (level, cubes): the caller adds them to ``done`` once every
+        key passes.
         """
         a, lo = top[j], j << t
         high = [1 << i - t for i in range(t, e) if not lo >> i & 1]
@@ -468,10 +457,10 @@ class _Memo:
             cubes.update([(a, ac), (a, ac, ac, ac)])
             cubes.update([(a, top[j | b], ac, top[j | b | c]) for b in high[:x]])
         base = min(t, _BASE)
+        new = []
         for k in range(t, base - 1, -1):
             if t >= _BASE:
                 cubes -= self.done[k]
-                self.done[k] |= cubes
                 new.append((k, cubes))
             if k > base:
                 cubes = _split(cubes, self.kids[k])
@@ -483,7 +472,7 @@ class _Memo:
             else:
                 flat = iter(gets[len(cube)](sum(map(leaves.__getitem__, cube), ())))
                 out.update(zip(flat, flat, flat, flat))
-        return out
+        return out, new
 
     def screen(self, squares: set[tuple]) -> set[tuple]:
         """Stages 1-2 for the keys, in one pass: each key at the primes of
@@ -546,24 +535,23 @@ def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
     that way is kept: a later block or call screens such a key out
     again and its walk asks check_square again, a cache hit.  The walk
     stops at the first violation, which is therefore the same, found by
-    the same witness searches, as a walk over every key; the block's
-    cubes are then not kept as certified.
+    the same witness searches, as a walk over every key.  Only a block
+    that passes adds its cubes to the certified ones.
     """
     code = memo.number(m)
     e = len(m.labels)
     t = max(e - 5, min(e, 3))  # blocks of 2^t subsets, at most 32 of them
     top = memo.tree(code, t)
     for j in range(len(top)):
-        new: list[tuple[int, set]] = []
-        bad = memo.screen(memo.block_keys(top, t, e, j, new))
-        if not bad:
-            continue
-        lo = j << t
-        v = _walk(m.labels, code, memo.groups, lo, lo + (1 << t), bad)
-        if v is not None:
-            for k, cubes in new:
-                memo.done[k] -= cubes
-            return Verdict((v,))
+        keys, new = memo.block_keys(top, t, e, j)
+        bad = memo.screen(keys)
+        if bad:
+            lo = j << t
+            v = _walk(m.labels, code, memo.groups, lo, lo + (1 << t), bad)
+            if v is not None:
+                return Verdict((v,))
+        for k, cubes in new:
+            memo.done[k] |= cubes
     return Verdict()
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .intmat import Record, setfield
+from .intmat import Record
 from .matroids import Verdict, ZMatroid, generic_rank, subset_key, subsets, verify
 
 
@@ -36,17 +36,11 @@ class QamData(Record):
             raise ValueError("tables must cover every subset")
         if any(v < 1 for v in mult):
             raise ValueError("multiplicities must be positive")
-        setfield(self, "labels", labels)
-        setfield(self, "rk", rk)
-        setfield(self, "mult", mult)
+        Record.__init__(self, labels, rk, mult)
 
 
 class QamViolation(Record):
     __slots__ = ("axiom", "detail")
-
-    def __init__(self, axiom: str, detail: str):
-        setfield(self, "axiom", axiom)
-        setfield(self, "detail", detail)
 
 
 def to_qam(m: ZMatroid) -> QamData:

@@ -87,7 +87,7 @@ from itertools import product
 from operator import mul
 
 from .abgroups import DMod, FgAbGroup, cokernel, d_seq, localize, pval, support_primes
-from .intmat import Record, setfield, smith_normal_form, transpose
+from .intmat import Record, smith_normal_form, transpose
 from .oracle import pushout_oracle
 
 # failure kinds, also used verbatim in diagnostics
@@ -124,13 +124,7 @@ class SquareVerdict(Record):
     """
 
     __slots__ = ("ok", "kind", "prime", "index")
-
-    def __init__(self, ok: bool, kind: str | None = None, prime: int | None = None,
-                 index: int | None = None):
-        setfield(self, "ok", ok)
-        setfield(self, "kind", kind)
-        setfield(self, "prime", prime)
-        setfield(self, "index", index)
+    _defaults = {"kind": None, "prime": None, "index": None}
 
 
 _OK = SquareVerdict(True)
@@ -170,12 +164,14 @@ def square_failure_dvr(n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> SquareVerdict
             return SquareVerdict(False, L2A, None, n)
         if d1[n - 1] != d2[n - 1] and acc != 0:
             return SquareVerdict(False, L2B, None, n)
-    # past ``top`` every d_n equals the rank, so L(n) moves linearly.  No
-    # L2b is left to find there: with every edge drop 0 or 1, unequal
-    # ranks of N1 and N2 force slope 0, and d_top differs, so the loop
-    # has already required acc = 0 at n = top
-    if n0.rank - n1.rank - n2.rank + n12.rank < 0:
-        return SquareVerdict(False, L2A, None, top + 1)
+    # past ``top`` every d_n equals the rank, so L(n) moves linearly by
+    # the slope from acc = L(top) >= 0 and first turns negative at
+    # top + 1 + acc // -slope.  No L2b is left to find there: with every
+    # edge drop 0 or 1, unequal ranks of N1 and N2 force slope 0, and
+    # d_top differs, so the loop has already required acc = 0 at n = top
+    slope = n0.rank - n1.rank - n2.rank + n12.rank
+    if slope < 0:
+        return SquareVerdict(False, L2A, None, top + 1 + acc // -slope)
     return _OK
 
 

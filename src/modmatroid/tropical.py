@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Callable
 
 from .abgroups import INF, d_leq
-from .intmat import Record, setfield
+from .intmat import Record
 from .matroids import DvrMatroid, Verdict, subset_keys, subsets
 
 # largest ground set the exhaustive flag scan accepts
@@ -36,23 +36,13 @@ FLAG_SCAN_MAX_LABELS = 8
 
 
 class HeightFunction(Record):
+    # n: the horizon, a positive int or INF; values: indexed by subset
+    # bitmask, entries int or INF
     __slots__ = ("labels", "n", "values")
-
-    def __init__(self, labels: tuple[str, ...], n, values: tuple):
-        # n: the horizon, a positive int or INF; values: indexed by subset
-        # bitmask, entries int or INF
-        setfield(self, "labels", labels)
-        setfield(self, "n", n)
-        setfield(self, "values", values)
 
 
 class TropicalViolation(Record):
     __slots__ = ("relation", "terms", "argmin")
-
-    def __init__(self, relation: str, terms: tuple, argmin: str):
-        setfield(self, "relation", relation)
-        setfield(self, "terms", terms)
-        setfield(self, "argmin", argmin)
 
 
 def heights(m: DvrMatroid, n) -> HeightFunction:

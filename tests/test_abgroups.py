@@ -152,6 +152,8 @@ def test_factorize_and_pval():
     assert pval(48, 2) == 4
     with pytest.raises(ValueError):
         pval(0, 2)
+    with pytest.raises(ValueError, match="positive integer"):
+        factorize(0)
 
 
 @settings(max_examples=100, deadline=None)

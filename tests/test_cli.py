@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from modmatroid import cli, surjections
 from modmatroid.cli import build_parser, main
 from modmatroid.jsonio import dumps, emit_matroid_document
-from modmatroid.matroids import from_realization, random_realization, subset_key, subsets
+from modmatroid.matroids import Verdict, from_realization, random_realization, subset_key, subsets
+from modmatroid.qam import QamViolation
+from modmatroid.tropical import INF, TropicalViolation
 from tables import assert_document_keys
 
 GOOD_MATROID = {
@@ -397,6 +399,40 @@ def test_flagscan_with_log(run, tmp_path):
 def test_valuated(run):
     code, out, err = run(["valuated", "--p", "2"], GOOD_MATROID)
     assert code == 0 and out.strip() == "OK"
+
+
+def test_tropical_violations_print_twenty_and_count_the_rest(run, monkeypatch):
+    found = Verdict(tuple(TropicalViolation("valuated", (k, INF, 1), "a") for k in range(25)))
+    monkeypatch.setattr(cli, "valuated_matroid_check", lambda local: found)
+    code, out, err = run(["valuated", "--p", "2"], GOOD_MATROID)
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        *(f"violation valuated: terms [{k}, INF, 1], unique minimum a" for k in range(20)),
+        "... and 5 more",
+    ]
+
+
+def test_qam_prints_its_violation(run, monkeypatch):
+    found = Verdict((QamViolation("A2b", "A={1} b=2: forced"),))
+    monkeypatch.setattr(cli, "check_axioms", lambda q: found)
+    code, out, err = run(["qam"], GOOD_MATROID)
+    assert code == 1 and err == ""
+    assert out.splitlines()[-2:] == ["A={1,2} rk=0 m=1", "violation A2b: A={1} b=2: forced"]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("check", {"ground_set": [f"x{i}" for i in range(17)], "modules": {}}),
+    ("realize", {"ambient_relations": [], "generators": {f"x{i}": [1] for i in range(17)}}),
+], ids=["matroid", "realization"])
+def test_seventeen_labels_exit_2(run, command, doc):
+    code, out, err = run([command], doc)
+    assert code == 2 and out == "" and err == "error: ground_set larger than 16\n"
+
+
+def test_ambient_relations_must_be_a_list(run):
+    code, out, err = run(["realize"], {"ambient_relations": {"a": [1]}, "generators": {"a": [1]}})
+    assert code == 2 and out == ""
+    assert err == "error: ambient_relations must be a list of column vectors\n"
 
 
 def test_oracle_verify(run):

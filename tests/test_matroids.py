@@ -84,6 +84,11 @@ def test_ground_set_rules():
         ZMatroid(("a", "a"), (TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL))
     with pytest.raises(ValueError):
         ZMatroid(("a",), (TRIVIAL,))
+    labels = tuple(f"x{i}" for i in range(17))
+    with pytest.raises(ValueError, match="ground set larger than 16"):
+        ZMatroid(labels, (TRIVIAL,) * (1 << 17))
+    with pytest.raises(ValueError, match="ground set larger than 16"):
+        Realization(labels, [[]], [[1] * 17])
 
 
 def test_rejected_table_from_the_start():
@@ -579,18 +584,17 @@ def check_gathering(memo, table, e):
     for j in range(len(top)):
         want = slice_keys(code, j << t, t, e)
         kept, memo.done = memo.done, [set() for _ in memo.done]
-        assert memo.block_keys(top, t, e, j, []) == want
+        assert memo.block_keys(top, t, e, j)[0] == want
         memo.done = kept
         for tup in ((k, *cube) for k, cubes in enumerate(kept) for cube in cubes):
             if tup not in under:
                 under[tup] = tuple_keys(memo, tup)
         covered = set().union(*under.values())
-        new = []
-        got = memo.block_keys(top, t, e, j, new)
+        got, new = memo.block_keys(top, t, e, j)
         assert got <= want <= got | covered
-        if memo.screen(got):
+        if not memo.screen(got):
             for k, cubes in new:
-                memo.done[k] -= cubes
+                memo.done[k] |= cubes
 
 
 def gathering_tables():
@@ -683,7 +687,7 @@ def test_screen_matches_the_screen_with_the_generic_point():
         t = max(e - 5, min(e, 3))
         top = memo.tree(code, t)
         memo.done = [set() for _ in memo.done]
-        keys = set().union(*(memo.block_keys(top, t, e, j, []) for j in range(len(top))))
+        keys = set().union(*(memo.block_keys(top, t, e, j)[0] for j in range(len(top))))
         bad = memo.screen(keys)
         assert bad == _ref_screen(memo, keys)
         rejected += bool(bad)

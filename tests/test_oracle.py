@@ -68,6 +68,13 @@ def test_oracle_rejects_infinite_groups():
         surjection_oracle(FgAbGroup(1, ()), TRIVIAL)
 
 
+def test_quotient_by_element_checks_arity():
+    g = FgAbGroup(0, (2, 4))
+    for x in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="wrong arity"):
+            quotient_by_element(g, x)
+
+
 def test_abelian_p_groups_enumeration():
     got = abelian_p_groups(2, 8)
     assert got == [

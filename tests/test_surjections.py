@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -90,13 +90,26 @@ def test_square_l2b():
 
 def test_square_tail_slope():
     # every edge drops rank by 0 or 1, the finite horizon is clean, but
-    # the partial sums head negative once the sequences stabilize
+    # the partial sums head negative once the sequences stabilize:
+    # L(6) = 1, L(7) = 0, L(8) = -1
     quad = (fg(1, (4, 4)), fg(1, (4,)), fg(1, (4,)), fg(0, (4, 32)))
     v = check_square(*quad)
-    assert not v.ok and v.kind == L2A and v.prime == 2 and v.index == 7
+    assert not v.ok and v.kind == L2A and v.prime == 2 and v.index == 8
     loc = tuple(localize(g, 2) for g in quad)
     lv = square_failure_dvr(*loc)
-    assert not lv.ok and lv.kind == L2A and lv.index == 7
+    assert not lv.ok and lv.kind == L2A and lv.index == 8
+
+
+@pytest.mark.parametrize("m, first", [(1, 3), (2, 5), (3, 7)])
+def test_square_tail_reports_the_first_negative_horizon(m, first):
+    # (Z+Z/2^m, Z, Z, Z/2^m): L climbs to m at n = m, then falls by 1 a
+    # step past the sequences' horizon, so L(2m + 1) = -1 comes first
+    quad = (fg(1, (2**m,)), fg(1), fg(1), fg(0, (2**m,)))
+    v = check_square(*quad)
+    assert not v.ok and v.kind == L2A and v.prime == 2 and v.index == first
+    d0, d1, d2, d12 = (d_seq(localize(g, 2), first) for g in quad)
+    sums = list(accumulate(map(lambda a, b, c, d: a - b - c + d, d0, d1, d2, d12)))
+    assert min(sums[:-1]) >= 0 > sums[-1]
 
 
 def test_square_rank_drop():
@@ -296,7 +309,8 @@ def test_single_element_check_leaves_the_square_cache_alone():
 
 def _reference_square_failure_dvr(n0, n1, n2, n12):
     """square_failure_dvr as it was with an L2b test past the loop, kept
-    as the oracle for its removal, verbatim but for the module prefixes."""
+    as the oracle for its removal, verbatim but for the module prefixes
+    and the L2a tail, which names the first horizon where L(n) < 0."""
     top = _nmax(n0, n1, n2, n12)
     # an edge's first bad drop lies within its own horizon: past it the
     # drop is the constant rank drop
@@ -315,7 +329,7 @@ def _reference_square_failure_dvr(n0, n1, n2, n12):
     # past ``top`` every d_n equals the rank, so L(n) moves linearly
     slope = n0.rank - n1.rank - n2.rank + n12.rank
     if slope < 0:
-        return surjections.SquareVerdict(False, L2A, None, top + 1)
+        return surjections.SquareVerdict(False, L2A, None, top + 1 + acc // -slope)
     if n1.rank != n2.rank and (slope != 0 or acc != 0):
         return surjections.SquareVerdict(False, L2B, None, top + 1)
     return surjections._OK
