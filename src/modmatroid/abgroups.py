@@ -101,9 +101,13 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
-# Bounds of the factorize and localize caches: a 10-label realize batch
-# meets up to about 700 distinct orders and 19k distinct (group, prime)
-# keys, a 16-label realize-and-check about 600 and 28k.
+# Bounds of the factorize and localize caches.  factorize sees each
+# group's last invariant factor; the certifier reads exponents itself
+# (local_exps), so localize serves check_square, the witness search and
+# whole-table localization.  A 10-label realize batch meets up to 690
+# distinct orders and 42 (group, prime) keys (seeds 0-31), a scans batch
+# 269 and 59 (seeds 0-7), realize-and-check of CI's 16-label tables 608
+# and none, and localizing one of them 628 keys, one per distinct entry.
 @lru_cache(maxsize=1 << 12)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
@@ -258,11 +262,13 @@ def subset_cokernels(relations: Mat, columns: list[list[int]]) -> tuple[list, li
 
 
 def support_primes(*groups: FgAbGroup) -> tuple[int, ...]:
-    """Primes dividing any torsion order of the given groups, ascending."""
+    """Primes dividing any torsion order of the given groups, ascending:
+    those of each group's last invariant factor, which every other
+    factor divides, so no other factor is factorized."""
     primes: set[int] = set()
     for g in groups:
-        for n in g.factors:
-            primes.update(p for p, _ in factorize(n))
+        if g.factors:
+            primes.update(p for p, _ in factorize(g.factors[-1]))
     return tuple(sorted(primes))
 
 
@@ -296,10 +302,23 @@ class DMod(Record):
         return self.exps[0] if self.exps else 0
 
 
+def local_exps(g: FgAbGroup, p: int) -> tuple[int, ...]:
+    """The exponents of g's localization at p, nonincreasing: the p-adic
+    valuations of its invariant factors read from the last one back.
+    Each factor divides the next, so the valuations come out in order,
+    and the first factor that p does not divide ends them."""
+    exps = []
+    for n in reversed(g.factors):
+        v = pval(n, p)
+        if not v:
+            break
+        exps.append(v)
+    return tuple(exps)
+
+
 @lru_cache(maxsize=1 << 16)  # see factorize
 def localize(g: FgAbGroup, p: int) -> DMod:
-    lam = sorted((v for v in (pval(n, p) for n in g.factors) if v), reverse=True)
-    return DMod(g.rank, tuple(lam))
+    return DMod(g.rank, local_exps(g, p))
 
 
 def d_seq(m: DMod, n: int) -> list[int]:

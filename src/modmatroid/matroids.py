@@ -20,6 +20,7 @@ from .abgroups import (
     DMod,
     FgAbGroup,
     cokernel,  # not called here; perfbench/spans.py traces calls through this name
+    local_exps,
     localize,
     subset_cokernels,
     support_primes,
@@ -27,6 +28,7 @@ from .abgroups import (
 from .intmat import Mat, Record, setfield, shape
 from .surjections import (
     NO_WITNESS,
+    audited,
     check_m1,  # not called here; perfbench/spans.py traces calls through this name
     check_square,
     exact_cap,
@@ -364,20 +366,24 @@ class _Memo:
     number of group i's free part (its localization at the generic
     point), and ``local[i]`` maps each support prime p of the group to
     the number of its localization at p; at any other prime the
-    localization is the free part.  ``caps`` maps every prime seen to
-    its ``exact_cap``, and the generic point None to 0.  Equal subcubes
-    of tables are shared in a subset tree: a node at level k stands for
-    2^k consecutive entries (the subsets L + offset, L < 2^k); up to
-    level 3 it is keyed by its tuple of entry numbers, above it by the
-    pair of its halves, and ``nodes[k]`` numbers the level's nodes
-    (``kids[k]`` maps numbers back).  Square keys (tuples of group
-    numbers, the degenerate (A, Ab, Ab, Ab) among them) are gathered
-    from cubes, tuples of nodes of one level (``block_keys``);
-    ``done[k]`` holds the cubes of level k >= 3 whose keys are all
-    certified to pass.  Stage 1-2 decisions are kept per (cap, local
-    quadruple); full decisions only in check_square's cache.  Tables
-    that share entries or subcubes (a table and edited copies of it,
-    say) share the work.
+    localization is the free part.  A local module is numbered by its
+    (rank, exponents) pair (``mod_ids``), and ``mods`` maps numbers back
+    to modules, each built once.  Stage 1-2 decisions are kept per cap
+    class: ``classes`` maps an ``exact_cap`` to the decisions of the
+    primes with that cap, by local quadruple (four module numbers), and
+    ``decided`` maps every prime seen to its class, the generic point
+    None to class 0; ``shared`` holds the decisions that classes share
+    (``_decide``).  Full decisions are kept only in check_square's
+    cache.  Equal subcubes of tables are shared in a subset tree: a
+    node at level k stands for 2^k consecutive entries (the subsets
+    L + offset, L < 2^k); up to level 3 it is keyed by its tuple of
+    entry numbers, above it by the pair of its halves, and ``nodes[k]``
+    numbers the level's nodes (``kids[k]`` maps numbers back).  Square
+    keys (tuples of group numbers, the degenerate (A, Ab, Ab, Ab) among
+    them) are gathered from cubes, tuples of nodes of one level
+    (``block_keys``); ``done[k]`` holds the cubes of level k >= 3 whose
+    keys are all certified to pass.  Tables that share entries or
+    subcubes (a table and edited copies of it, say) share the work.
     """
 
     def __init__(self):
@@ -385,40 +391,43 @@ class _Memo:
         self.groups: list[FgAbGroup] = []
         self.free: list[int] = []
         self.local: list[dict[int, int]] = []
-        self.caps: dict[int | None, int] = {None: 0}
         self.nodes: list[dict[tuple, int]] = [{} for _ in range(MAX_GROUND + 1)]
         self.kids: list[list[tuple]] = [[] for _ in range(MAX_GROUND + 1)]
         self.done: list[set[tuple]] = [set() for _ in range(MAX_GROUND + 1)]
-        self.mod_ids: dict[DMod, int] = {}
+        self.mod_ids: dict[tuple[int, tuple[int, ...]], int] = {}
         self.mods: list[DMod] = []
-        self.square: dict[tuple, bool] = {}
+        self.classes: dict[int, dict[tuple, bool]] = {0: {}}
+        self.decided: dict[int | None, dict[tuple, bool]] = {None: self.classes[0]}
+        self.shared: dict[tuple, bool] = {}
 
     def size(self) -> int:
         return (len(self.groups) + len(self.free) + sum(map(len, self.local))
                 + sum(map(len, self.kids)) + sum(map(len, self.done)) + len(self.mods)
-                + len(self.square))
+                + sum(map(len, self.classes.values())) + len(self.shared))
 
     def number(self, m: ZMatroid) -> list[int]:
         """The group number of each subset's entry, numbering the
-        entries not seen before and their local modules."""
-        ids, caps = self.ids, self.caps
+        entries not seen before, their local modules, and the primes
+        not seen before with their cap classes."""
+        ids, decided = self.ids, self.decided
         for g in m.entries:
             if g not in ids:
                 ids[g] = len(self.groups)
                 self.groups.append(g)
-                self.free.append(self._mod(DMod(g.rank)))
+                self.free.append(self._mod((g.rank, ())))
                 primes = support_primes(g)
-                self.local.append({p: self._mod(localize(g, p)) for p in primes})
+                self.local.append({p: self._mod((g.rank, local_exps(g, p))) for p in primes})
                 for p in primes:
-                    if p not in caps:
-                        caps[p] = exact_cap(p)
+                    if p not in decided:
+                        decided[p] = self.classes.setdefault(exact_cap(p), {})
         return list(map([ids[g] for g in m.entries].__getitem__, m.code))
 
-    def _mod(self, mod: DMod) -> int:
-        """The number of a local module, numbering it if not seen before."""
-        n = self.mod_ids.setdefault(mod, len(self.mods))
+    def _mod(self, key: tuple[int, tuple[int, ...]]) -> int:
+        """The number of the local module of free rank and exponents
+        ``key``, numbering it if not seen before."""
+        n = self.mod_ids.setdefault(key, len(self.mods))
         if n == len(self.mods):
-            self.mods.append(mod)
+            self.mods.append(DMod(*key))
         return n
 
     def tree(self, code: list[int], t: int) -> list[int]:
@@ -478,8 +487,10 @@ class _Memo:
         """Stages 1-2 for the keys, in one pass: each key at the primes of
         its entries (at any other prime its local modules are its free
         parts), and only a key with no prime at the generic point, on its
-        free parts with cap 0; each (cap, local quadruple) decided once.
-        Returns the keys that did not pass everywhere.
+        free parts with cap 0.  A key's local quadruple (its four module
+        numbers at a prime) is looked up in the decisions of the prime's
+        cap class, the generic point's being cap 0, and decided on a miss
+        (``_decide``).  Returns the keys that did not pass everywhere.
 
         A key that passes at one prime passes at the generic point too.
         At a prime the sequence test runs to 1 + the largest exponent,
@@ -490,7 +501,7 @@ class _Memo:
         make all four ranks equal, so stage 2 at cap 0 finds no joint
         descent to supply.
         """
-        local, free, caps, mods, seen = self.local, self.free, self.caps, self.mods, self.square
+        local, free, decided = self.local, self.free, self.decided
         bad: set[tuple] = set()
         for k in squares:
             g0, g1, g2, g3 = k
@@ -498,14 +509,37 @@ class _Memo:
             f0, f1, f2, f3 = free[g0], free[g1], free[g2], free[g3]
             # None, the generic point, is in no local map: there every key reads its free parts
             for p in {*l0, *l1, *l2, *l3} or (None,):
-                key = (caps[p], l0.get(p, f0), l1.get(p, f1), l2.get(p, f2), l3.get(p, f3))
-                ok = seen.get(key)
+                quad = (l0.get(p, f0), l1.get(p, f1), l2.get(p, f2), l3.get(p, f3))
+                ok = decided[p].get(quad)
                 if ok is None:
-                    ok = seen[key] = square_screen(key[0], *map(mods.__getitem__, key[1:]))
+                    ok = self._decide(p, quad)
                 if not ok:
                     bad.add(k)
                     break
         return bad
+
+    def _decide(self, p: int | None, quad: tuple[int, int, int, int]) -> bool:
+        """Stages 1-2 for the local quadruple ``quad`` at p, kept in p's
+        cap class.
+
+        ``square_screen`` reads the cap only through ``audited``
+        (whether stage 2 runs), so a prime's decision is kept once more
+        under that flag and the quadruple, and a class that misses
+        takes it from there.  The generic point's quadruples are free
+        and no prime's is (one of its modules has torsion there), so the
+        generic point shares nothing and skips that table.
+        """
+        mods = [self.mods[n] for n in quad]
+        if p is None:
+            ok = square_screen(0, *mods)
+        else:
+            cap = exact_cap(p)
+            key = (audited(cap, *mods), quad)
+            ok = self.shared.get(key)
+            if ok is None:
+                ok = self.shared[key] = square_screen(cap, *mods)
+        self.decided[p][quad] = ok
+        return ok
 
 
 # Bound on what the certifier keeps between calls (groups and their local

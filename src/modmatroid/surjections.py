@@ -351,6 +351,14 @@ def exact_cap(p: int) -> int:
     return _EXACT_CAPS.get(p, _EXACT_CAP_DEFAULT)
 
 
+def audited(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> bool:
+    """Whether stage 2 audits the square at a prime with ``exact_cap``
+    cap: N0 and N12 of equal rank (with stage 1 passed, all four ranks
+    agree) and every exponent within the cap.  ``square_screen`` reads
+    the cap through this flag alone."""
+    return n0.rank == n12.rank and max(m.max_exp for m in (n0, n1, n2, n12)) <= cap
+
+
 def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list[int]:
     """Stage 2: the joint descents of the lower kernels that lack a spare
     summand of N0, for a square that passes stage 1.
@@ -362,13 +370,13 @@ def _unsupplied(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> list[int]:
     read by the multiplicity rule (module docstring) from one Counter of
     exponents per module.  Returns every index where that supply falls
     short, ascending; an empty list means the construction goes through
-    and the square exists.  Only quadruples whose four
-    ranks agree and whose exponents stay within ``cap`` are audited: a
+    and the square exists.  Only quadruples whose four ranks agree and
+    whose exponents stay within ``cap`` are audited (``audited``): a
     common rank adds the same to every d_i, so the audit is that of the
     torsion parts.  Where a rank drops, or an exponent passes the cap,
     stage 1 alone decides, and the list is empty.
     """
-    if n0.rank != n12.rank or max(m.max_exp for m in (n0, n1, n2, n12)) > cap:
+    if not audited(cap, n0, n1, n2, n12):
         return []
     c0, c1, c2, c12 = (Counter(m.exps) for m in (n0, n1, n2, n12))
 
@@ -389,9 +397,9 @@ def square_screen(cap: int, n0: DMod, n1: DMod, n2: DMod, n12: DMod) -> bool:
     True means the square exists there.  False means the sequence test
     fails or the summand supply falls short, so only the full decision
     (``check_square``) can tell.  The answer depends on the prime only
-    through its cap.  A pass at a prime implies a pass of the free parts
-    at the generic point, so the generic point need be asked only when a
-    square has no prime.
+    through its cap, and on the cap only through ``audited``.  A pass at
+    a prime implies a pass of the free parts at the generic point, so
+    the generic point need be asked only when a square has no prime.
     """
     return square_failure_dvr(n0, n1, n2, n12).ok and not _unsupplied(cap, n0, n1, n2, n12)
 

@@ -143,6 +143,27 @@ def test_support_primes():
     assert support_primes(TRIVIAL, FgAbGroup(3, ())) == ()
 
 
+# primes below and above the trial divisors, two past 10^6 and 2^31 - 1
+CHAIN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 1_000_003, 1_000_033, 2_147_483_647)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.lists(st.sampled_from(CHAIN_PRIMES), max_size=4), max_size=4),
+                min_size=1, max_size=3),
+       st.integers(0, 2))
+def test_support_primes_and_local_exps_read_the_chain(orders, rank):
+    # support primes from each group's last invariant factor are those of
+    # every factor, and local exponents read off the chain are the
+    # valuations of the factors, sorted
+    groups = [canonicalize(map(math.prod, o), rank) for o in orders]
+    primes = {p for g in groups for n in g.factors for p, _ in factorize(n)}
+    assert support_primes(*groups) == tuple(sorted(primes))
+    for g in groups:
+        for p in CHAIN_PRIMES:
+            valuations = sorted((pval(n, p) for n in g.factors if n % p == 0), reverse=True)
+            assert localize(g, p) == DMod(rank, tuple(valuations))
+
+
 def test_factorize_and_pval():
     assert factorize(1) == ()
     assert factorize(12) == ((2, 2), (3, 1))

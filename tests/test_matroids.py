@@ -461,7 +461,11 @@ def test_walk_takes_normal_forms_only_outside_shared_and_one_row_subtrees(monkey
     assert saved >= 100 and trivial_after_a >= 4
 
 
-@pytest.mark.parametrize("seed,dim", [(1, 5), (5, 5), (1, 1)])
+# (seed, max_dim) of the realizations CI takes through the CLI at the 16-label cap
+SIXTEEN = ((1, 5), (5, 5), (1, 1))
+
+
+@pytest.mark.parametrize("seed,dim", SIXTEEN)
 def test_sixteen_labels_spot_checked_against_cokernel(seed, dim):
     # the realizations CI takes through the CLI at the 16-label cap; a
     # strided slice off by one would show only at some masks
@@ -648,6 +652,33 @@ SHORT_SUPPLY = from_realization(Realization(
     [[-15, 15, 13, -5], [17, -14, -16, -2], [-5, 20, 19, -11]]))
 
 
+def diagonal(*orders: int) -> list[list[int]]:
+    return [[q if i == j else 0 for j in range(len(orders))] for i, q in enumerate(orders)]
+
+
+# realized tables whose torsion mixes 2, 3, 5 and 7 with primes of the
+# default cap, each prime's largest exponent in the ambient past its cap:
+# a cyclic ambient, and one with two summands at each prime
+MIXED_CAPS = [
+    from_realization(Realization(tuple("abcdef"), rel, [
+        [rng.randint(-9, 9) for _ in range(6)] for _ in rel]))
+    for rng in [random.Random("mixed caps")]
+    for rel in [diagonal(2**10, 3**6, 5**5, 7**4, 11**3, 13**3),
+                diagonal(2**10 * 11**3, 2**6 * 3**6 * 13**3, 3**4 * 5**5 * 7**4 * 11**3,
+                         5**2 * 7**3 * 13**2)] * 2
+]
+# SHORT_SUPPLY's short square (exponents 5,3,2 | 4,2 | 4,2 | 2,2) at
+# p = 11, where it passes past the cap: alone, and with the same square
+# at p = 3 in one table, the generators being congruent to (11, 1, 0),
+# (-110, 1, 0) mod 11^5 and to (6, 1, 0), (-3, 1, 0) mod 3^5
+SHORT_PAST_CAP = [
+    from_realization(Realization(("a", "b"), diagonal(11**5, 11**3, 11**2),
+                                 [[11, -110], [1, 1], [0, 0]])),
+    from_realization(Realization(("a", "b"), diagonal(3**5 * 11**5, 3**3 * 11**3, 3**2 * 11**2),
+                                 [[31727058, 9824001], [1, 1], [0, 0]])),
+]
+
+
 def _ref_screen(memo, squares):
     """The screen that decided every key at the generic point as well as
     at each prime of its entries."""
@@ -671,19 +702,25 @@ def _ref_screen(memo, squares):
 
 def test_screen_matches_the_screen_with_the_generic_point():
     # realized, prime-power, perturbed and equal tables, one whose squares
-    # fall short of summand supply, their free parts, and every rank
-    # table of ranks 0..2 on 3 labels, through one memo
+    # fall short of summand supply, and the same square at p = 11, past
+    # the cap there, so that a decision shared across caps shows; tables
+    # with exponents past every prime's cap, CI's 16-label tables, their
+    # free parts, and every rank table of ranks 0..2 on 3 labels, through
+    # one memo
     def free_parts(table):
         return tuple(FgAbGroup(g.rank) for g in table)
 
     tables = [t for _, t in gathering_tables()] + [SHORT_SUPPLY.table]
+    tables += [m.table for m in SHORT_PAST_CAP + MIXED_CAPS]
+    tables += [from_realization(random_realization(random.Random(seed), max_dim=dim,
+                                                   n_labels=16)).table for seed, dim in SIXTEEN]
     tables += [free_parts(t) for t in tables]
     tables += [tuple(map(FgAbGroup, ranks)) for ranks in itertools.product(range(3), repeat=8)]
     memo = matroids._Memo()
     rejected = 0
     for table in tables:
         e = len(table).bit_length() - 1
-        code = memo.number(ZMatroid(tuple("abcdefghij"[:e]), table))
+        code = memo.number(ZMatroid(tuple("abcdefghijklmnop"[:e]), table))
         t = max(e - 5, min(e, 3))
         top = memo.tree(code, t)
         memo.done = [set() for _ in memo.done]
@@ -835,7 +872,8 @@ def test_memo_localizes_each_group_once_per_prime(monkeypatch):
     # local modules are numbered when a group is first seen: a second scan,
     # of a copy with one entry changed, localizes only the new entry
     calls = []
-    monkeypatch.setattr(matroids, "localize", lambda g, p: calls.append((g, p)) or localize(g, p))
+    exps = matroids.local_exps
+    monkeypatch.setattr(matroids, "local_exps", lambda g, p: calls.append((g, p)) or exps(g, p))
     monkeypatch.setattr(matroids, "_memo", matroids._Memo())
     m = from_realization(Realization(("a", "b", "c"), [[8, 0], [0, 9]], [[1, 2, 3], [1, 1, 2]]))
     assert is_matroid(ZMatroid(m.labels, m.table)).ok
@@ -846,6 +884,26 @@ def test_memo_localizes_each_group_once_per_prime(monkeypatch):
     calls.clear()
     is_matroid(ZMatroid(m.labels, tuple(table)))
     assert calls == [(new, p) for p in support_primes(new)]
+
+
+def test_memo_numbers_local_modules_by_their_exponents():
+    # every group numbered through one memo: its free part, its
+    # localization at each support prime, one module per (rank,
+    # exponents), and each prime's decisions those of its cap class
+    memo = matroids._Memo()
+    for m in [SHORT_SUPPLY, *SHORT_PAST_CAP, *MIXED_CAPS]:
+        memo.number(m)
+    for labels, table in gathering_tables():
+        memo.number(ZMatroid(labels, table))
+    assert len(memo.groups) > 100
+    for i, g in enumerate(memo.groups):
+        assert memo.mods[memo.free[i]] == DMod(g.rank)
+        local = {p: memo.mods[n] for p, n in memo.local[i].items()}
+        assert local == {p: localize(g, p) for p in support_primes(g)}
+    assert memo.mod_ids == {(d.rank, d.exps): n for n, d in enumerate(memo.mods)}
+    assert {11, 13} < memo.decided.keys()
+    for p, decided in memo.decided.items():
+        assert decided is memo.classes[0 if p is None else surjections.exact_cap(p)]
 
 
 def test_diagonal_violation_in_a_realized_table():
@@ -904,7 +962,7 @@ def test_certifier_memo_is_dropped_when_a_scan_raises(monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(matroids, "localize", interrupted)
+    monkeypatch.setattr(matroids, "local_exps", interrupted)
     with pytest.raises(KeyboardInterrupt):
         is_matroid(ZMatroid(m.labels, m.table))
     assert matroids._memo.size() == 0
