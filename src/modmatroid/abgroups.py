@@ -58,20 +58,35 @@ class FgAbGroup(Record):
 TRIVIAL = FgAbGroup()
 
 
+# The primes up to 37: trial divisors, and the Miller-Rabin bases that
+# are exact below 318,665,857,834,031,151,167,461 (Sorenson and Webster)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the prime bases up to 37: exact below about
-    3.2 * 10^23, a probable-prime test above; it factorizes nothing."""
+    """Miller-Rabin to the fewest prime bases proven exact for n: (2, 3)
+    below 1,373,653, (2, 3, 5, 7) below 3,215,031,751, the primes up to
+    37 above, exact below about 3.2 * 10^23, a probable-prime test
+    beyond; it factorizes nothing."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # no prime factor up to 37, so none at all
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n < 1_373_653:
+        bases = _SMALL_PRIMES[:2]
+    elif n < 3_215_031_751:
+        bases = _SMALL_PRIMES[:4]
+    else:
+        bases = _SMALL_PRIMES
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

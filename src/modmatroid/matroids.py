@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import random
 import string
-from collections.abc import Sequence
-from itertools import chain
-from operator import itemgetter
+from collections.abc import Iterator, Sequence
+from functools import cache, reduce
+from itertools import chain, compress
+from operator import itemgetter, or_
 
 from .abgroups import (
     DMod,
@@ -275,21 +276,23 @@ def from_realization(r: Realization) -> ZMatroid:
     return ZMatroid.from_code(r.labels, groups.__getitem__, code, True)
 
 
-def _walk(labels, code, entries, lo, hi, bad):
-    """The axiom in scan order over the subsets lo <= A < hi.
+def _walk(labels, code, entries, masks, bad):
+    """The axiom in scan order over the subsets ``masks``, ascending.
 
-    Subsets ascend by bitmask; within a subset, pairs (b, c) ascend by
-    label position with b <= c.  The b = c diagonal is the degenerate
-    square (A, Ab, Ab, Ab), the single-element check, which check_square
-    decides like any other.  Swapping b and c gives the same square, so
-    scanning ordered pairs would locate the same first failure.
-    ``code`` numbers the table's entries; ``entries`` maps numbers back.
-    Only square keys (tuples of numbers) in ``bad`` are decided, in
-    full, all others being known to pass; a key that passes leaves
-    ``bad``.  Returns the first violation, or None.
+    Within a subset, pairs (b, c) ascend by label position with b <= c.
+    The b = c diagonal is the degenerate square (A, Ab, Ab, Ab), the
+    single-element check, which check_square decides like any other.
+    Swapping b and c gives the same square, so scanning ordered pairs
+    would locate the same first failure.  ``code`` numbers the table's
+    entries; ``entries`` maps numbers back.  Only square keys (tuples of
+    numbers) in ``bad`` are decided, in full, all others being known to
+    pass; a key that passes leaves ``bad``.  A subset left out of
+    ``masks`` must hold no key of ``bad`` (``_candidates``): the walk
+    then decides the same keys in the same order as one over every
+    subset.  Returns the first violation, or None.
     """
     e = len(labels)
-    for mask in range(lo, hi):
+    for mask in masks:
         a = code[mask]
         outside = [i for i in range(e) if not mask >> i & 1]
         above = [code[mask | 1 << i] for i in outside]
@@ -305,6 +308,50 @@ def _walk(labels, code, entries, lo, hi, bad):
                         return Violation(mask, labels[bi], labels[ci], v.kind, v.prime, v.index)
                     bad.discard(key)
     return None
+
+
+@cache
+def _label_flags(t: int) -> tuple[int, ...]:
+    """For each label i < t, the set of the L < 2^t that hold i, written
+    as ``_candidates`` writes sets of L."""
+    return tuple(int.from_bytes(bytes(L >> i & 1 for L in range(1 << t)), "little")
+                 for i in range(t))
+
+
+def _candidates(code, lo: int, t: int, e: int, bad: set[tuple]) -> Iterator[int]:
+    """The subsets of block lo (lo + L, L < 2^t) that can hold a key of
+    ``bad``, ascending.
+
+    A key (a, b, c, d) at A has its bottom d at the subset A | b | c,
+    which adds one label to A (b = c) or two.  That subset lies in the
+    block, or in the block with one or two of the free labels above
+    it added.  Each of those ranges of 2^t codes is scanned once for the
+    bottoms of ``bad``, and a hit D gives back the A it can come from: D
+    without its added high labels and without up to two minus their
+    number of its low labels, one label at least in all.  A set of L is
+    an int whose byte L is 1 for a member and 0 otherwise, so the scan
+    and the removals run at C speed whatever the number of hits.
+    """
+    bottoms = {k[3] for k in bad}
+    span = 1 << t
+    high = [1 << i for i in range(t, e) if not lo >> i & 1]
+
+    def hits(add: int) -> int:  # the L with code[lo | add | L] a bottom
+        s = lo | add
+        row = code[s:s + span]
+        if bottoms.isdisjoint(row):
+            return 0
+        return int.from_bytes(bytes(map(bottoms.__contains__, row)), "little")
+
+    def drop(x: int) -> int:  # the L that lack one low label of a member of x
+        return reduce(or_, ((x & f) >> (8 << i) for i, f in enumerate(_label_flags(t))), 0)
+
+    inside = hits(0)
+    one = reduce(or_, map(hits, high), 0)
+    two = reduce(or_, (hits(b | c) for x, c in enumerate(high) for b in high[:x]), 0)
+    # D less two high labels; less one, and up to one low label; less one or two low labels
+    found = two | one | drop(one | inside | drop(inside))
+    return compress(range(lo, lo + span), found.to_bytes(span, "little"))
 
 
 def _split(cubes: set[tuple], halves) -> set[tuple]:
@@ -410,9 +457,11 @@ class _Memo:
         entries not seen before, their local modules, and the primes
         not seen before with their cap classes."""
         ids, decided = self.ids, self.decided
+        numbers = []
         for g in m.entries:
-            if g not in ids:
-                ids[g] = len(self.groups)
+            n = ids.setdefault(g, len(self.groups))
+            numbers.append(n)
+            if n == len(self.groups):
                 self.groups.append(g)
                 self.free.append(self._mod((g.rank, ())))
                 primes = support_primes(g)
@@ -420,7 +469,7 @@ class _Memo:
                 for p in primes:
                     if p not in decided:
                         decided[p] = self.classes.setdefault(exact_cap(p), {})
-        return list(map([ids[g] for g in m.entries].__getitem__, m.code))
+        return list(map(numbers.__getitem__, m.code))
 
     def _mod(self, key: tuple[int, tuple[int, ...]]) -> int:
         """The number of the local module of free rank and exponents
@@ -565,7 +614,10 @@ def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
     pass needs no more.
     Otherwise the block is walked in scan order, and each key that
     failed the screen is decided in full by check_square, which may
-    still pass it through the witness search.  No set of keys passed
+    still pass it through the witness search.  The walk visits only the
+    subsets one or two labels below a subset whose entry is the bottom
+    of a failed key (``_candidates``); every other subset holds no such
+    key, so it asks check_square nothing there.  No set of keys passed
     that way is kept: a later block or call screens such a key out
     again and its walk asks check_square again, a cache hit.  The walk
     stops at the first violation, which is therefore the same, found by
@@ -580,8 +632,8 @@ def _scan(m: ZMatroid, memo: _Memo) -> Verdict:
         keys, new = memo.block_keys(top, t, e, j)
         bad = memo.screen(keys)
         if bad:
-            lo = j << t
-            v = _walk(m.labels, code, memo.groups, lo, lo + (1 << t), bad)
+            masks = _candidates(code, j << t, t, e, bad)
+            v = _walk(m.labels, code, memo.groups, masks, bad)
             if v is not None:
                 return Verdict((v,))
         for k, cubes in new:

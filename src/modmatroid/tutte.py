@@ -100,9 +100,13 @@ def _pow_binomials(c: int, n: int) -> Poly2:
 
 
 def _specialize(t: TutteClass, tag_value) -> Poly2:
-    out: Poly2 = {}
+    """The sum of coeff * tag_value(tag) * (x-1)^c (y-1)^n over the terms,
+    expanding each (c, n) once, with the weights of its tags added up."""
+    weights: Counter = Counter()
     for (c, n, tag), coeff in t.terms.items():
-        w = coeff * tag_value(tag)
+        weights[c, n] += coeff * tag_value(tag)
+    out: Poly2 = {}
+    for (c, n), w in weights.items():
         for k, v in _pow_binomials(c, n).items():
             s = out.get(k, 0) + w * v
             if s:

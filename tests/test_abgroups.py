@@ -15,6 +15,7 @@ from modmatroid.abgroups import (
     d_leq,
     d_seq,
     factorize,
+    is_probable_prime,
     localize,
     pval,
     support_primes,
@@ -162,6 +163,26 @@ def test_support_primes_and_local_exps_read_the_chain(orders, rank):
         for p in CHAIN_PRIMES:
             valuations = sorted((pval(n, p) for n in g.factors if n % p == 0), reverse=True)
             assert localize(g, p) == DMod(rank, tuple(valuations))
+
+
+def test_is_probable_prime_against_a_sieve():
+    # the base set shrinks below 1,373,653 and 3,215,031,751: exact
+    # against a sieve, and every strong pseudoprime to the bases of a
+    # smaller set (the least ones to the primes up to 2, 3, 5, 7, 11, 13,
+    # 17 and 37 taken in turn) comes out composite
+    n = 10**6
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    assert [k for k in range(n) if is_probable_prime(k) != sieve[k]] == []
+    pseudoprimes = (1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+                    3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051)
+    assert not any(map(is_probable_prime, pseudoprimes))
+    # the primes next to each bound, on both sides
+    assert all(map(is_probable_prime, (1_373_639, 1_373_677, 3_215_031_749, 3_215_031_767)))
+    assert is_probable_prime((1 << 61) - 1) and not is_probable_prime(41 * 41)
 
 
 def test_factorize_and_pval():

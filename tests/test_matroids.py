@@ -16,6 +16,7 @@ from modmatroid.abgroups import (
     localize,
     support_primes,
 )
+from modmatroid.jsonio import parse_realization_document
 from modmatroid.matroids import (
     MatroidError,
     Realization,
@@ -52,6 +53,7 @@ from tables import (
     relabel,
     residue_matroid,
 )
+from test_cli import NO_WITNESS_REAL
 
 GOOD = Realization(("1", "2"), [[4, 0], [0, 2]], [[1, 1], [0, 1]])
 BAD_TABLE = (
@@ -966,3 +968,116 @@ def test_certifier_memo_is_dropped_when_a_scan_raises(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         is_matroid(ZMatroid(m.labels, m.table))
     assert matroids._memo.size() == 0
+
+
+def plain_walk(labels, code, entries, block, bad):
+    """The walk over every subset of ``block`` in scan order, deciding the
+    keys of ``bad`` by check_square: the namer before it walked only the
+    subsets that can hold such a key."""
+    e = len(labels)
+    for mask in block:
+        outside = [i for i in range(e) if not mask >> i & 1]
+        for x, b in enumerate(outside):
+            for c in outside[x:]:
+                key = (code[mask], code[mask | 1 << b], code[mask | 1 << c],
+                       code[mask | 1 << b | 1 << c])
+                if key in bad:
+                    v = matroids.check_square(*map(entries.__getitem__, key))
+                    if not v.ok:
+                        return Violation(mask, labels[b], labels[c], v.kind, v.prime, v.index)
+                    bad.discard(key)
+    return None
+
+
+def decisions(m: ZMatroid, plain: bool) -> tuple:
+    """The verdict of a scan of m through a fresh memo, or the message it
+    raised, and the check_square calls of its walks: through the
+    candidate walk, or with every subset of a failing block a candidate
+    and the plain walk."""
+    calls = []
+    decide = check_square
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matroids, "check_square", lambda *g: calls.append(g) or decide(*g))
+        if plain:
+            mp.setattr(matroids, "_candidates",
+                       lambda code, lo, t, e, bad: range(lo, lo + (1 << t)))
+            mp.setattr(matroids, "_walk", plain_walk)
+        try:
+            verdict = matroids._scan(m, matroids._Memo())
+        except RuntimeError as exc:
+            verdict = str(exc)
+    return verdict, calls
+
+
+def edit_tables() -> list[ZMatroid]:
+    """Realized tables on 1-6 labels, over generic and prime-power
+    ambients, with one entry changed (rank, torsion, deepen) at every
+    mask; and with two or three entries changed, either all to one new
+    group or each to the table's most common entry, so that the failing
+    keys share their bottoms.  On one label the only square is the
+    degenerate one, which only its one-label bottom finds; in
+    SHORT_SUPPLY's edits the walk passes squares by the witness search
+    before it meets the edit."""
+    rng = random.Random("candidate walk")
+    bases = [SHORT_SUPPLY]
+    for e in (1, 2, 3, 4, 5, 6):
+        for p in (None, 2, 3):
+            real = random_realization(rng, max_dim=4, n_labels=e)
+            if p is not None:
+                n = len(real.relations)
+                rel = [[p ** rng.randint(1, 4) if i == j else 0 for j in range(n)]
+                       for i in range(n)]
+                real = Realization(real.labels, rel, real.vectors)
+            bases.append(from_realization(real))
+    out = []
+    for m in bases:
+        size = len(m.table)
+        common = max(m.entries, key=list(m.table).count)
+        for mask in range(size):
+            for kind in ("rank", "torsion", "deepen"):
+                table = list(m.table)
+                table[mask] = changed(table[mask], kind, rng.choice((2, 3)))
+                out.append(ZMatroid(m.labels, tuple(table)))
+        for _ in range(2 * size):
+            masks = rng.sample(range(size), min(size, rng.choice((2, 3))))
+            new = changed(m.table[masks[0]], rng.choice(("rank", "torsion", "deepen")), 2)
+            for value in (new, common):
+                table = list(m.table)
+                for mask in masks:
+                    table[mask] = value
+                out.append(ZMatroid(m.labels, tuple(table)))
+    return out
+
+
+def test_candidate_walk_names_the_naive_first_violation(monkeypatch):
+    # every edit through one memo, as a batch of edited copies meets it
+    monkeypatch.setattr(matroids, "_memo", matroids._Memo())
+    rejected = 0
+    for z in edit_tables():
+        want = naive_scan(z.labels, z.table, check_m1, check_square)
+        assert is_matroid(z) == want, z
+        rejected += not want.ok
+    assert rejected > 2000
+
+
+def test_candidate_walk_decides_the_keys_of_the_plain_walk():
+    # the same check_square calls in the same order, so the same witness
+    # searches: on edited tables, on a realized table with an undecided
+    # square, and on one whose second decided square exceeds the witness
+    # search's budget, after a first that the search passes
+    tables = edit_tables()[::2]
+    no_witness = from_realization(parse_realization_document(NO_WITNESS_REAL))
+    tables.append(no_witness)
+    g = lambda *fs: canonicalize(fs)  # noqa: E731
+    budget = ZMatroid(("y", "z"), (g(4, 16, 64), g(2, 8, 32), g(8, 32), g(4, 16)))
+    tables.append(direct_sum(SHORT_SUPPLY, budget))
+    results = [(decisions(z, False), decisions(z, True)) for z in tables]
+    for (got, want), z in zip(results, tables):
+        assert got == want, z
+    verdict, calls = results[-2][0]
+    assert verdict.violation.describe(no_witness.labels) == "A={e} b=f c=i: no-witness-pair p=2 n=7"
+    verdict, calls = results[-1][0]
+    assert verdict.startswith("witness search budget exceeded") and len(calls) == 2
+    # most edits are rejected, and some walks decide several keys first
+    assert sum(not got[0].ok for got, _ in results[:-1]) > 1000
+    assert sum(len(got[1]) > 1 for got, _ in results) > 20

@@ -217,3 +217,33 @@ def test_render_edge_cases():
     assert poly_render({}) == "0"
     assert poly_render({(0, 0): -3}) == "-3"
     assert poly_render({(2, 1): 1, (1, 0): 3, (0, 0): -2}) == "x^2*y + 3*x - 2"
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000))
+def test_specializations_match_the_per_term_expansion(seed):
+    # one expansion per (cork, nullity) with its tags' weights added up,
+    # against one per term; the coefficients are drawn so that the
+    # weights of some (cork, nullity) cancel, and with them whole terms
+    # of the expansion
+    rng = random.Random(seed)
+    tags = [(), (2,), (3,), (2, 4), (6,), (2, 2, 2)]
+    terms: dict = {}
+    for _ in range(rng.randint(1, 12)):
+        c, n = rng.randint(0, 4), rng.randint(0, 4)
+        a, b = rng.sample(tags, 2)
+        k = rng.randint(-3, 3)
+        # weights -k * value(a) and k * value(b) cancel where the tags' values agree
+        terms[c, n, a] = terms.get((c, n, a), 0) - k
+        terms[c, n, b] = terms.get((c, n, b), 0) + k
+        terms[rng.randint(0, 4), rng.randint(0, 4), rng.choice(tags)] = rng.randint(-2, 2)
+    t = tutte.TutteClass(terms)
+    x, y = rng.randint(-2, 3), rng.randint(-2, 3)
+    q = (x - 1) * (y - 1)
+    values = (lambda tag: 1, math.prod, lambda tag: math.prod(math.gcd(f, q) for f in tag))
+    for value in values:
+        want: dict = {}
+        for (c, n, tag), coeff in t.terms.items():
+            for k, v in _binom(c, n).items():
+                want[k] = want.get(k, 0) + coeff * value(tag) * v
+        assert tutte._specialize(t, value) == {k: v for k, v in want.items() if v}
