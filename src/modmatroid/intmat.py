@@ -40,6 +40,15 @@ class Record:
         cls._key = attrgetter(*(compare or cls._fields))
 
     def __init__(self, *args, **kwargs):
+        fields = self._fields
+        for field, value in zip(fields, args):
+            setfield(self, field, value)
+        if kwargs or len(args) != len(fields):
+            self._bind_rest(args, kwargs)
+
+    def _bind_rest(self, args: tuple, kwargs: dict) -> None:
+        """Bind the fields past ``args`` by name or from the defaults, or
+        raise TypeError for a call that cannot bind them."""
         fields, name = self._fields, type(self).__qualname__
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} fields, {len(args)} given")
@@ -48,8 +57,6 @@ class Record:
                 raise TypeError(f"{name}() has no field {field!r}")
             if fields.index(field) < len(args):
                 raise TypeError(f"{name}() got field {field!r} twice")
-        for field, value in zip(fields, args):
-            setfield(self, field, value)
         for field in fields[len(args):]:
             if field in kwargs:
                 setfield(self, field, kwargs[field])

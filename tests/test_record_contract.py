@@ -46,7 +46,10 @@ def test_only_validating_records_write_a_constructor():
     (lambda: Violation(1, "b", "c", kind="L2a", depth=1), r"Violation\(\) has no field 'depth'"),
     (lambda: Violation(1, "b", "c", "L2a", mask=2), r"Violation\(\) got field 'mask' twice"),
     (lambda: Violation(1, "b", kind="L2a"), r"Violation\(\) missing field 'c'"),
-], ids=["surplus", "unknown", "repeated", "missing"])
+    # every field by position, and a keyword as well
+    (lambda: Violation(1, "b", "c", "L2a", 2, 1, depth=1), r"Violation\(\) has no field 'depth'"),
+    (lambda: Violation(1, "b", "c", "L2a", 2, 1, index=1), r"Violation\(\) got field 'index' twice"),
+], ids=["surplus", "unknown", "repeated", "missing", "unknown-after-all", "repeated-after-all"])
 def test_record_constructor_refuses_what_it_cannot_bind(make, message):
     with pytest.raises(TypeError, match=message):
         make()
